@@ -94,21 +94,25 @@ class BoundVerdict:
         return f"[{status}] {self.name}: FSexp = {self.fsexp}, Ndim = {self.ndim}; {shape}{extra}"
 
 
+def _verdict(fs: int, nd: int) -> tuple[int | None, bool, int | None]:
+    """The prime of the T order fs (None when fs is not a prime power),
+    whether fs <= nd (odd p) or fs <= 4 nd (p = 2) holds, and the extremal
+    tier: the t in (1, 2, 4) for p = 2, or 1 for odd p, with fs = t nd."""
+    p = prime_power(fs)
+    if p is None:
+        return None, True, None
+    if p == 2:
+        return p, fs <= 4 * nd, next((t for t in (1, 2, 4) if fs == t * nd), None)
+    return p, fs <= nd, 1 if fs == nd else None
+
+
 def bound_check(md: ModularDatum, classify: bool = False) -> BoundVerdict:
     """Evaluate the prime power bound FSexp <= Ndim (odd p) or
     FSexp <= 4 Ndim (p = 2) and detect equality tiers."""
     fs = fs_exponent(md)
     nd = ndim(md)
-    p = prime_power(fs)
-    if p is None:
-        holds, tier = True, None
-    elif p == 2:
-        holds = fs <= 4 * nd
-        tier = next((t for t in (1, 2, 4) if fs == t * nd), None)
-    else:
-        holds = fs <= nd
-        tier = 1 if fs == nd else None
-    extremal = p is not None and tier is not None
+    p, holds, tier = _verdict(fs, nd)
+    extremal = tier is not None
     cls = None
     if classify and extremal:
         cls = extremal_classify(md)

@@ -23,6 +23,7 @@ from .modular import (
     DataFormatError,
     MdtkError,
     ModularDatum,
+    _integer_norm,
     anomaly,
     data_equal,
     dims,
@@ -53,7 +54,13 @@ from .galois import (
     verify_galois_identities,
     working_conductor,
 )
-from .bounds import BoundVerdict, bound_check, lemma_orbit_bound, prime_power
+from .bounds import (
+    BoundVerdict,
+    _verdict,
+    bound_check,
+    lemma_orbit_bound,
+    prime_power,
+)
 
 __all__ = [
     "save",
@@ -234,20 +241,14 @@ def _integral(md: ModularDatum) -> bool:
 def _product_bound(a: ModularDatum, b: ModularDatum) -> BoundVerdict | None:
     """Bound verdict for the tensor product, computed from the factors:
     the T order is the lcm and the global dimension multiplies.  Returns
-    None when the product T order is not a prime power."""
+    None when the product T order is not a prime power, and raises
+    NotModularError when the norm of the product's global dimension is not
+    a positive integer."""
     fs = math.lcm(fs_exponent(a), fs_exponent(b))
-    p = prime_power(fs)
-    if p is None:
+    if prime_power(fs) is None:
         return None
-    D = global_dim(a) * global_dim(b)
-    _, nm = D.trace_norm()
-    nd = int(nm)
-    if p == 2:
-        holds = fs <= 4 * nd
-        tier = next((t for t in (1, 2, 4) if fs == t * nd), None)
-    else:
-        holds = fs <= nd
-        tier = 1 if fs == nd else None
+    nd = _integer_norm(global_dim(a) * global_dim(b))
+    p, holds, tier = _verdict(fs, nd)
     return BoundVerdict(
         name=f"({a.name})x({b.name})",
         fsexp=fs,

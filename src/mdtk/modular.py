@@ -12,11 +12,12 @@ the property it depends on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import Cyc, RootOfUnity, rational
+from .cyclo import Cyc, RootOfUnity, euler_phi, rational
 
 
 __all__ = [
@@ -99,6 +100,7 @@ class ModularDatum:
         self.S = S
         self.T = T
         self.name = name
+        self._unitarity: str | None = None  # see _unitarity_witness
 
     @property
     def rank(self) -> int:
@@ -205,7 +207,13 @@ def gauss_sum(md: ModularDatum, sign: int = 1) -> Cyc:
 def ndim(md: ModularDatum) -> int:
     """Product of the Galois conjugates of the global dimension (its field
     norm); a positive rational integer for modular data."""
-    _, nm = global_dim(md).trace_norm()
+    return _integer_norm(global_dim(md))
+
+
+def _integer_norm(D: Cyc) -> int:
+    """The field norm of a global dimension D, which must be a positive
+    integer."""
+    _, nm = D.trace_norm()
     if nm.denominator != 1 or nm <= 0:
         raise NotModularError(f"norm of the global dimension is {nm}, not a positive integer")
     return int(nm)
@@ -276,15 +284,146 @@ class FusionTensor:
         return tuple(tuple(self.N[x][y][z] for y in range(r)) for z in range(r))
 
 
+def _unitarity_witness(md: ModularDatum) -> str:
+    """The first entry of S Sbar^T that differs from D I, as a witness, or
+    "" when S Sbar^T = D I holds exactly.
+
+    The product is Hermitian, so an entry below the diagonal is nonzero
+    exactly when its mirror above the diagonal is: the first failure in
+    row-major order always has j >= i, and only the upper triangle is
+    computed.  The result is kept on the datum.
+    """
+    if md._unitarity is None:
+        r = md.rank
+        S = md.S
+        D = global_dim(md)
+        Sbar = [[e.conj() for e in row] for row in S]
+        bad = ""
+        for i in range(r):
+            for j in range(i, r):
+                acc = rational(0)
+                for k in range(r):
+                    acc = acc + S[i][k] * Sbar[j][k]
+                if acc != (D if i == j else 0):
+                    bad = f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
+                    break
+            if bad:
+                break
+        md._unitarity = bad
+    return md._unitarity
+
+
 @lru_cache(maxsize=None)
 def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     """Fusion multiplicities from the S matrix:
 
-        N[x][y][z] = sum_r S[x][r] S[y][r] conj(S[z][r]) / (D * S[0][r])
+        N[x][y][z] = sum_c S[x][c] S[y][c] conj(S[z][c]) / (D * S[0][c])
 
     with D the global dimension.  Raises NotModularError if any value is
     not a nonnegative integer (or a column of S is zero at the unit row).
+
+    The values are evaluated in floating point and rounded, then accepted
+    only after an exact certificate in the field: S Sbar^T = D I, and
+
+        S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
+
+    for every y <= x and every column c.  Since S^-1 = Sbar^T / D, the two
+    together prove that the rounded integers equal the formula.  When S is
+    not unitary, a column has S[0][c] = 0, a float is not within 0.25 of a
+    nonnegative integer, or the certificate fails, the formula is evaluated
+    exactly instead, which returns the same tensor or raises the witness.
     """
+    planes = None
+    if all(not e.is_zero() for e in md.S[0]) and not _unitarity_witness(md):
+        planes = _verlinde_float(md)
+    if planes is None or not _verlinde_certified(md, planes):
+        return _verlinde_exact(md)
+    return _fusion_from_planes(md, planes)
+
+
+def _fusion_from_planes(md: ModularDatum, planes) -> FusionTensor:
+    """The tensor with N[x][y] = planes[x][y] for y <= x, completed by
+    commutativity."""
+    r = md.rank
+    full = tuple(
+        tuple(planes[max(x, y)][min(x, y)] for y in range(r)) for x in range(r)
+    )
+    return FusionTensor(md.labels, full)
+
+
+def _verlinde_float(md: ModularDatum):
+    """N[x][y] for y <= x from the Verlinde formula in floating point,
+    rounded to integers; None when a value is not within 0.25 of a
+    nonnegative integer or does not fit in a float."""
+    zetas: dict[int, list[complex]] = {}
+
+    def approx(e: Cyc) -> complex:
+        zs = zetas.get(e.n)
+        if zs is None:
+            t = 2 * math.pi / e.n
+            zs = zetas[e.n] = [
+                complex(math.cos(t * k), math.sin(t * k)) for k in range(euler_phi(e.n))
+            ]
+        return sum(v * z for v, z in zip(e.num, zs) if v) / e.den
+
+    r = md.rank
+    try:
+        S = [[approx(e) for e in row] for row in md.S]
+        D = approx(global_dim(md))
+        W = [[S[z][c].conjugate() / (D * S[0][c]) for c in range(r)] for z in range(r)]
+        planes = []
+        for x in range(r):
+            plane = []
+            for y in range(x + 1):
+                pxy = [a * b for a, b in zip(S[x], S[y])]
+                row = []
+                for w in W:
+                    v = sum(map(operator.mul, pxy, w))
+                    k = round(v.real)
+                    if k < 0 or not abs(v - k) <= 0.25:
+                        return None
+                    row.append(k)
+                plane.append(tuple(row))
+            planes.append(plane)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return planes
+
+
+def _verlinde_certified(md: ModularDatum, planes) -> bool:
+    """Whether S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c] holds
+    exactly for every y <= x and every column c.
+
+    The left side is an integer combination of the products
+    A[c][z] = S[0][c] S[z][c], so those are lifted once to the common
+    conductor and kept as integer numerators over one denominator per
+    column; only the right side needs a field multiplication.
+    """
+    r = md.rank
+    m = math.lcm(*(e.n for row in md.S for e in row))
+    S = [[e.lift(m) for e in row] for row in md.S]
+    cols = []
+    for c in range(r):
+        a = [S[0][c] * S[z][c] for z in range(r)]
+        den = math.lcm(*(e.den for e in a))
+        cols.append((den, [[v * (den // e.den) for v in e.num] for e in a]))
+    for x in range(r):
+        for y in range(x + 1):
+            n = planes[x][y]
+            support = [(z, n[z]) for z in range(r) if n[z]]
+            for c, (den, A) in enumerate(cols):
+                acc = [0] * len(A[0])
+                for z, k in support:
+                    acc = [s + k * v for s, v in zip(acc, A[z])]
+                want = S[x][c] * S[y][c]
+                if any(u * want.den != v * den for u, v in zip(acc, want.num)):
+                    return False
+    return True
+
+
+def _verlinde_exact(md: ModularDatum) -> FusionTensor:
+    """The Verlinde formula evaluated exactly in the field, r^4 / 2 field
+    multiplications; the reference for `verlinde_fusion`."""
     r = md.rank
     S = md.S
     D = global_dim(md)
@@ -316,10 +455,7 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
                 row.append(int(v))
             plane.append(tuple(row))
         N.append(plane)
-    full = tuple(
-        tuple(N[max(x, y)][min(x, y)] for y in range(r)) for x in range(r)
-    )
-    return FusionTensor(md.labels, full)
+    return _fusion_from_planes(md, N)
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +498,8 @@ def verify(md: ModularDatum) -> VerificationReport:
         checks.append(Check("s-unitary-scale", False, str(e)))
         return VerificationReport(tuple(checks))
 
-    Sbar = [[S[i][j].conj() for j in range(r)] for i in range(r)]
-    unitary_bad = None
-    for i in range(r):
-        for j in range(r):
-            acc = rational(0)
-            for k in range(r):
-                acc = acc + S[i][k] * Sbar[j][k]
-            want = D if i == j else rational(0)
-            if acc != want:
-                unitary_bad = f"(S Sbar)[{labels[i]}][{labels[j]}] = {acc}"
-                break
-        if unitary_bad:
-            break
-    checks.append(Check("s-unitary-scale", unitary_bad is None, unitary_bad or ""))
+    unitary_bad = _unitarity_witness(md)
+    checks.append(Check("s-unitary-scale", not unitary_bad, unitary_bad))
 
     # S^2 = D C with C the charge conjugation permutation
     charge = None
@@ -540,7 +664,8 @@ def normalized_t_order(md: ModularDatum) -> tuple[RootOfUnity, int]:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius-Perron dimensions (the one floating point computation)
+# Frobenius-Perron dimensions (power iteration in floating point, with no
+# exact certificate)
 
 
 def fpdim_pseudounitary(md: ModularDatum) -> tuple[float, bool]:

@@ -1,10 +1,12 @@
 """Serialization, the builtin catalog, and the command line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from mdtk.catalog_cli import (
+    _product_bound,
     builtin,
     builtin_names,
     catalog_entries,
@@ -15,8 +17,16 @@ from mdtk.catalog_cli import (
     save,
     to_dict,
 )
-from mdtk.construct import fibonacci, ising
-from mdtk.modular import DataFormatError, data_equal, verify
+from mdtk.bounds import bound_check
+from mdtk.construct import deligne_product, fibonacci, ising
+from mdtk.cyclo import RootOfUnity, rational
+from mdtk.modular import (
+    DataFormatError,
+    ModularDatum,
+    NotModularError,
+    data_equal,
+    verify,
+)
 
 
 # -------------------------------------------------------- serialization
@@ -122,6 +132,26 @@ def test_catalog_sweep_runs_clean():
     assert "FAIL" not in out
     # silent mode only returns the flag
     assert catalog_sweep() is True
+
+
+def test_product_bound_matches_bound_check_on_builtin_products():
+    for a, b in (("ising-1-p", "ising-3-m"), ("so5level9-1", "pointed-c9"),
+                 ("fibonacci-1", "fibonacci-2")):
+        v = _product_bound(builtin(a), builtin(b))
+        want = bound_check(deligne_product(builtin(a), builtin(b)))
+        assert (v.fsexp, v.ndim, v.prime, v.bound_holds, v.extremal, v.tier) == (
+            want.fsexp, want.ndim, want.prime, want.bound_holds, want.extremal, want.tier
+        )
+
+
+def test_product_bound_rejects_non_integer_norm():
+    # global dimension 1 + 1/4 = 5/4, so the product's norm is 25/16
+    half = rational(Fraction(1, 2))
+    S = ((rational(1), half), (half, rational(1)))
+    T = (RootOfUnity.one(), RootOfUnity.make(2, 1))
+    bad = ModularDatum(("1", "x"), S, T, name="bad-norm")
+    with pytest.raises(NotModularError, match="not a positive integer"):
+        _product_bound(bad, bad)
 
 
 # ------------------------------------------------------------------ CLI

@@ -1,13 +1,17 @@
 """Modular data container, verification checks, Verlinde fusion, and the
 scalar invariants built from S and T."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from mdtk import modular
+from mdtk.catalog_cli import builtin, builtin_names
 from mdtk.cyclo import Cyc, RootOfUnity, rational, root_of_unity
 from mdtk.construct import (
     MetricGroup,
+    deligne_product,
     double_abelian,
     fibonacci,
     ising,
@@ -15,6 +19,9 @@ from mdtk.construct import (
     so5_level9,
 )
 from mdtk.modular import (
+    _verlinde_certified,
+    _verlinde_exact,
+    _verlinde_float,
     DataFormatError,
     FusionTensor,
     ModularDatum,
@@ -294,6 +301,99 @@ def test_verlinde_rejects_non_modular():
     md2 = ModularDatum(("1", "x"), S2, T, name="bad", _trusted=True)
     with pytest.raises(NotModularError):
         verlinde_fusion(md2)
+
+
+# fusion tables pinned by hand, objects in construction order
+ISING_TABLE = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((0, 0, 1), (0, 0, 1), (1, 1, 0)),
+)
+FIB_TABLE = (((1, 0), (0, 1)), ((0, 1), (1, 1)))
+
+
+def group_table(orders):
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    return tuple(
+        tuple(
+            tuple(int(z == tuple((a + b) % n for a, b, n in zip(g, h, orders)))
+                  for z in elems)
+            for h in elems
+        )
+        for g in elems
+    )
+
+
+def kron_table(a, b):
+    ra, rb = len(a), len(b)
+    return tuple(
+        tuple(
+            tuple(a[xa][ya][za] * b[xb][yb][zb] for za in range(ra) for zb in range(rb))
+            for ya in range(ra) for yb in range(rb)
+        )
+        for xa in range(ra) for xb in range(rb)
+    )
+
+
+def pinned_table(name):
+    if name.startswith("ising-"):
+        return ISING_TABLE
+    if name.startswith("fibonacci-"):
+        return FIB_TABLE
+    if name.startswith("pointed-c"):
+        return group_table((int(name[len("pointed-c"):]),))
+    if name.startswith("double-c"):
+        n = int(name[len("double-c"):])
+        return group_table((n, n))
+    return None  # so5level9 has no hand-written table
+
+
+def test_certified_verlinde_matches_exact_formula():
+    cases = [(builtin(name), pinned_table(name)) for name in builtin_names()]
+    cases += [
+        (deligne_product(ising(3, -1), fibonacci(2)), kron_table(ISING_TABLE, FIB_TABLE)),
+        (cyclic_metric(7, 7, lambda g: 3 * g * g, name="pointed-c7"), group_table((7,))),
+        (double_abelian((3,)), group_table((3, 3))),
+    ]
+    for md, pinned in cases:
+        # the certified path is the one taken, not the fallback
+        assert _verlinde_certified(md, _verlinde_float(md)), md.name
+        N = verlinde_fusion(md).N
+        assert N == _verlinde_exact(md).N, md.name
+        if pinned is not None:
+            assert N == pinned, md.name
+
+
+def test_verlinde_certificate_rejects_a_wrong_float(monkeypatch):
+    real = modular._verlinde_float
+    calls = []
+
+    def off_by_one(md):
+        planes = real(md)
+        row = list(planes[3][3])
+        row[0] += 1
+        planes[3][3] = tuple(row)
+        calls.append(md)
+        return planes
+
+    monkeypatch.setattr(modular, "_verlinde_float", off_by_one)
+    md = so5_level9(1)
+    ft = verlinde_fusion(md)
+    assert len(calls) == 1
+    assert ft.N == _verlinde_exact(md).N
+    assert ft.N[3][3][0] == 1
+
+
+def test_verify_reports_perturbed_s_entry():
+    md = so5_level9(1)
+    S = [list(row) for row in md.S]
+    S[3][4] = S[4][3] = S[3][4] + 1
+    bad = ModularDatum(md.labels, S, md.T, name="perturbed")
+    report = verify(bad)
+    failed = {c.name: c.witness for c in report.failures}
+    assert {"s-unitary-scale", "verlinde-integrality"} <= set(failed)
+    assert failed["s-unitary-scale"].startswith("(S Sbar)[1][u0] = ")
+    assert all(failed.values())
 
 
 def test_fusion_tensor_validation():
