@@ -98,6 +98,8 @@ def from_dict(obj: dict) -> ModularDatum:
     for key in ("labels", "S", "T"):
         if key not in obj:
             raise DataFormatError(f"missing required key {key!r}")
+    if not isinstance(obj["labels"], list):
+        raise DataFormatError("labels must be a list")
     try:
         S = [[Cyc.from_json(e) for e in row] for row in obj["S"]]
         T = [RootOfUnity.from_json(t) for t in obj["T"]]

@@ -648,6 +648,8 @@ class Cyc:
         coeffs = []
         for pair in c:
             num, den = pair
+            if int(den) == 0:
+                raise ValueError("zero denominator in a coefficient")
             coeffs.append(Fraction(int(num), int(den)))
         den = 1
         for f in coeffs:

@@ -101,6 +101,7 @@ class ModularDatum:
         self.T = T
         self.name = name
         self._unitarity: str | None = None  # see _unitarity_witness
+        self._lifted = None  # see _lifted_s
 
     @property
     def rank(self) -> int:
@@ -284,6 +285,15 @@ class FusionTensor:
         return tuple(tuple(self.N[x][y][z] for y in range(r)) for z in range(r))
 
 
+def _lifted_s(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
+    """S with every entry lifted to the lcm of the entry conductors, so that
+    equal entries have equal (den, num).  The result is kept on the datum."""
+    if md._lifted is None:
+        m = math.lcm(*(e.n for row in md.S for e in row))
+        md._lifted = tuple(tuple(e.lift(m) for e in row) for row in md.S)
+    return md._lifted
+
+
 def _unitarity_witness(md: ModularDatum) -> str:
     """The first entry of S Sbar^T that differs from D I, as a witness, or
     "" when S Sbar^T = D I holds exactly.
@@ -400,8 +410,7 @@ def _verlinde_certified(md: ModularDatum, planes) -> bool:
     column; only the right side needs a field multiplication.
     """
     r = md.rank
-    m = math.lcm(*(e.n for row in md.S for e in row))
-    S = [[e.lift(m) for e in row] for row in md.S]
+    S = _lifted_s(md)
     cols = []
     for c in range(r):
         a = [S[0][c] * S[z][c] for z in range(r)]
@@ -466,7 +475,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     """Run the consistency battery and report named checks.
 
     Checks: S symmetry, the unitarity relation S Sbar = D I, charge
-    conjugation (S^2 / D is an involutive permutation), Verlinde
+    conjugation (conjugating the columns of S permutes them by an involution
+    C fixing the unit, which given the first two is S^2 = D C), Verlinde
     integrality, duality against the fusion rules, the balancing relation,
     the modulus of the Gauss sum, and finiteness of the T orders.
     """
@@ -501,34 +511,26 @@ def verify(md: ModularDatum) -> VerificationReport:
     unitary_bad = _unitarity_witness(md)
     checks.append(Check("s-unitary-scale", not unitary_bad, unitary_bad))
 
-    # S^2 = D C with C the charge conjugation permutation
+    # given symmetry and S Sbar = D I, S^2 = D C exactly when Sbar = S C,
+    # that is when conjugating column j of S gives column C(j); S is
+    # symmetric, so its rows serve as its columns
     charge = None
     charge_bad = None
-    perm = []
-    Dinv = D.inverse()
-    for i in range(r):
-        hit = None
-        ok = True
-        for j in range(r):
-            acc = rational(0)
-            for k in range(r):
-                acc = acc + S[i][k] * S[k][j]
-            v = acc * Dinv
-            if v == 1:
-                if hit is not None:
-                    ok = False
-                    break
-                hit = j
-            elif not v.is_zero():
-                ok = False
-                break
-        if not ok or hit is None:
-            charge_bad = f"row {labels[i]} of S^2/D is not a permutation row"
-            break
-        perm.append(hit)
-    if charge_bad is None:
-        if sorted(perm) != list(range(r)):
-            charge_bad = "S^2/D is not a permutation"
+    if sym_bad is not None or unitary_bad:
+        charge_bad = "prerequisite check failed"
+    else:
+
+        def key(row):
+            return tuple((e.den, e.num) for e in row)
+
+        L = _lifted_s(md)
+        where = {key(row): j for j, row in enumerate(L)}
+        perm = [where.get(key(map(Cyc.conj, row))) for row in L]
+        miss = next((j for j in range(r) if perm[j] is None), None)
+        if miss is not None:
+            charge_bad = f"the conjugate of column {labels[miss]} is not a column of S"
+        elif sorted(perm) != list(range(r)):
+            charge_bad = "conjugating the columns of S is not a permutation"
         elif any(perm[perm[i]] != i for i in range(r)):
             charge_bad = "charge conjugation is not an involution"
         elif perm[0] != 0:
@@ -664,45 +666,31 @@ def normalized_t_order(md: ModularDatum) -> tuple[RootOfUnity, int]:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius-Perron dimensions (power iteration in floating point, with no
-# exact certificate)
+# Frobenius-Perron dimensions, read exactly off one column of S
 
 
 def fpdim_pseudounitary(md: ModularDatum) -> tuple[float, bool]:
     """Frobenius-Perron dimension of the whole datum (sum over objects of
-    FPdim(X)^2) and whether it matches the global dimension numerically.
+    FPdim(X)^2) and whether it equals the global dimension D.
 
-    FPdim(X)^2 is the top eigenvalue of N_x N_x^T, computed by power
-    iteration on that symmetric nonnegative matrix.  Iterating N_x alone
-    can oscillate when the fusion graph is bipartite; the symmetrized
-    product always converges.  Eigenvalues are resolved to 1e-12 and the
-    pseudounitarity decision uses a 1e-9 window.
+    The characters of the fusion ring are the column ratios S[X][c] / S[0][c],
+    and FPdim is the only one positive on every object (Etingof, Nikshych,
+    Ostrik, "On fusion categories", 2005).  Its column c0 is the one in which
+    every S[X][c0] S[0][c0] is real and positive, decided exactly by
+    `Cyc.sign`.  Then FPdim(X) = S[X][c0] / S[0][c0], the total is
+    D / S[0][c0]^2, and the datum is pseudo-unitary exactly when
+    S[0][c0]^2 = 1.  Only the returned total is rounded to a float.
     """
-    import numpy as np
-
-    ft = verlinde_fusion(md)
+    verlinde_fusion(md)  # NotModularError unless the fusion rules are integral
+    S = md.S
     r = md.rank
-    total = 0.0
-    for x in range(r):
-        M = np.array(ft.matrix(x), dtype=float)
-        A = M @ M.T
-        v = np.full(r, 1.0 / math.sqrt(r))
-        lam_prev = -1.0
-        for _ in range(100000):
-            w = A @ v
-            nrm = float(np.linalg.norm(w))
-            if nrm == 0.0:
-                raise NotModularError(f"fusion matrix of {md.labels[x]} is nilpotent")
-            v = w / nrm
-            lam = float(v @ (A @ v))
-            if abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
-                break
-            lam_prev = lam
-        else:
-            raise ArithmeticError("power iteration did not converge")
-        total += lam
-    iv = global_dim(md).embed(64)
-    return total, abs(total - float(iv.re)) < 1e-9
+    for c in range(r):
+        products = (S[x][c] * S[0][c] for x in range(r))
+        if all(p.is_totally_real() and p.sign() > 0 for p in products):
+            sq = S[0][c] * S[0][c]
+            total = complex(global_dim(md).embed()).real / complex(sq.embed()).real
+            return total, sq == 1
+    raise NotModularError("no column of S is positive on every object")
 
 
 # ---------------------------------------------------------------------------

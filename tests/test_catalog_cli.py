@@ -1,6 +1,7 @@
 """Serialization, the builtin catalog, and the command line interface."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,14 @@ from mdtk.catalog_cli import (
     to_dict,
 )
 from mdtk.bounds import bound_check
-from mdtk.construct import deligne_product, fibonacci, ising
+from mdtk.construct import deligne_product, fibonacci, ising, so5_level9
 from mdtk.cyclo import RootOfUnity, rational
 from mdtk.modular import (
     DataFormatError,
     ModularDatum,
     NotModularError,
     data_equal,
+    fpdim_pseudounitary,
     verify,
 )
 
@@ -90,6 +92,22 @@ def test_from_dict_rejects_bad_coefficient_length():
     obj["S"][2][2] = {"n": 8, "c": [["0", "1"]]}
     with pytest.raises(DataFormatError, match="phi"):
         from_dict(obj)
+
+
+def malformed_dicts():
+    zero_den = to_dict(ising(1, 1))
+    zero_den["S"][2][2] = {"n": 1, "c": [["1", "0"]]}
+    bad_labels = to_dict(ising(1, 1))
+    bad_labels["labels"] = 5
+    return zero_den, bad_labels
+
+
+def test_from_dict_rejects_zero_denominator_and_non_list_labels():
+    zero_den, bad_labels = malformed_dicts()
+    with pytest.raises(DataFormatError, match="zero denominator"):
+        from_dict(zero_den)
+    with pytest.raises(DataFormatError, match="labels must be a list"):
+        from_dict(bad_labels)
 
 
 # -------------------------------------------------------------- catalog
@@ -282,3 +300,19 @@ def test_cli_load_error_is_exit_1(tmp_path, capsys):
     bad.write_text("{\"labels\": [\"1\"]}")
     assert main(["verify", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_cli_malformed_json_is_one_error_line(tmp_path, capsys):
+    for obj in malformed_dicts():
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fpdim_and_report_do_not_import_numpy(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert fpdim_pseudounitary(so5_level9(1))[1] is False
+    assert main(["report", "so5level9-1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pseudounitary"] is False

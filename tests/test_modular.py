@@ -2,6 +2,7 @@
 scalar invariants built from S and T."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,49 @@ def test_fpdim_and_pseudounitarity():
     assert not pu
 
 
+def fp_total_reference(N):
+    """Sum over x of the top eigenvalue of N_x N_x^T, by power iteration in
+    plain floats; an independent reference for the FP dimension."""
+    r = len(N)
+    total = 0.0
+    for x in range(r):
+        M = [[N[x][y][z] for y in range(r)] for z in range(r)]
+        A = [[sum(map(operator.mul, a, b)) for b in M] for a in M]
+        v, lam = [1.0] * r, 0.0
+        for _ in range(10000):
+            w = [sum(map(operator.mul, row, v)) for row in A]
+            prev, lam = lam, max(w)
+            v = [t / lam for t in w]
+            if abs(lam - prev) <= 1e-14 * lam:
+                break
+        else:
+            raise AssertionError("power iteration did not converge")
+        total += lam
+    return total
+
+
+def test_fpdim_matches_power_iteration_reference():
+    cases = [(builtin(name), _verlinde_exact(builtin(name)).N) for name in builtin_names()]
+    # the exact formula at rank 36 takes seconds, so the product tables are
+    # Kronecker products of the factors' exact tables
+    for a, b in ((ising(1, 1), fibonacci(1)), (so5_level9(1), so5_level9(2))):
+        table = kron_table(_verlinde_exact(a).N, _verlinde_exact(b).N)
+        cases.append((deligne_product(a, b), table))
+    # a semion whose nontrivial object has dimension -1: the FP column is
+    # that of s, where S[0][s] = -1
+    one = rational(1)
+    semion = ModularDatum(("1", "s"), ((one, -one), (-one, -one)),
+                          (RootOfUnity.one(), RootOfUnity.make(4, 1)), name="semion-minus")
+    cases.append((semion, _verlinde_exact(semion).N))
+    for md, N in cases:
+        assert verlinde_fusion(md).N == N, md.name
+        total, pu = fpdim_pseudounitary(md)
+        ref = fp_total_reference(N)
+        assert abs(total - ref) <= 1e-9 * ref, md.name
+        D = complex(global_dim(md).embed()).real
+        assert pu == (abs(ref - D) < 1e-9), md.name
+
+
 # -------------------------------------------------------------- verify
 
 
@@ -246,6 +290,19 @@ def test_verify_accepts_sibling_twist():
     sibling_T = (md.T[0], md.T[1], RootOfUnity.make(16, 3))
     sibling = ModularDatum(md.labels, md.S, sibling_T, name="sibling")
     assert verify(sibling).ok
+
+
+def test_charge_check_rejects_sign_flipped_unitary_s():
+    # E S E with E = diag(1, -1, 1) is still symmetric and unitary, but the
+    # conjugate of column g1 is no longer a column, so S^2 != D C
+    md = pointed_c3()
+    E = [-1 if lab == "g1" else 1 for lab in md.labels]
+    S = [[e * E[i] * E[j] for j, e in enumerate(row)] for i, row in enumerate(md.S)]
+    checks = {c.name: c for c in verify(ModularDatum(md.labels, S, md.T)).checks}
+    assert checks["s-symmetric"].passed
+    assert checks["s-unitary-scale"].passed
+    assert not checks["charge-conjugation"].passed
+    assert checks["charge-conjugation"].witness
 
 
 def test_verify_catches_degenerate_s():
