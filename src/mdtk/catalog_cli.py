@@ -76,6 +76,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # serialization
 
+# the largest working conductor a loaded datum may need; ising x fib x so5,
+# the largest datum the library builds, needs 8640
+MAX_CONDUCTOR = 10_000
+
 
 def to_dict(md: ModularDatum) -> dict:
     return {
@@ -101,6 +105,7 @@ def from_dict(obj: dict) -> ModularDatum:
     if not isinstance(obj["labels"], list):
         raise DataFormatError("labels must be a list")
     try:
+        _check_conductor_cap(obj["S"], obj["T"])
         S = [[Cyc.from_json(e) for e in row] for row in obj["S"]]
         T = [RootOfUnity.from_json(t) for t in obj["T"]]
     except (ValueError, TypeError) as e:
@@ -108,6 +113,30 @@ def from_dict(obj: dict) -> ModularDatum:
     md = ModularDatum(obj["labels"], S, T, name=obj.get("name"))
     _check_field_membership(md)
     return md
+
+
+def _check_conductor_cap(S, T) -> None:
+    """Reject raw S and T entries whose conductors could need a working
+    conductor above MAX_CONDUCTOR, before any entry is parsed.
+
+    Every conductor a computation on the datum reaches, the working
+    conductor lcm(12 FSexp, S conductors) included, divides 12 times the
+    lcm of the stored S conductors "n" and T orders "m".  Field tables grow
+    with the square of the conductor, so one large "m" would otherwise
+    exhaust memory.  Values that are not nonzero integers are left to the
+    entry checks.
+    """
+    raw = [e.get("n") for row in S for e in row if isinstance(e, dict)]
+    raw += [t.get("m") for t in T if isinstance(t, dict)]
+    N = 1
+    for v in raw:
+        if isinstance(v, int) and v:
+            N = math.lcm(N, v)
+            if 12 * N > MAX_CONDUCTOR:
+                raise DataFormatError(
+                    f"12 times the lcm of the S and T conductors is {12 * N}, "
+                    f"above the limit {MAX_CONDUCTOR}"
+                )
 
 
 def _check_field_membership(md: ModularDatum) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclo import Cyc, rational, unit_group_generators, units_mod
 from .construct import deligne_product
@@ -22,6 +21,7 @@ from .modular import (
     ModularDatum,
     NotModularError,
     VerificationReport,
+    _kept_on_datum,
     dims,
     fs_exponent,
     global_dim,
@@ -61,7 +61,7 @@ class GaloisPermutation:
         return tuple(self.mapping[other.mapping[i]] for i in range(len(self.mapping)))
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def working_conductor(md: ModularDatum) -> int:
     """Conductor of a cyclotomic field containing the S entries and every
     normalized T entry: lcm of 12 * (T order) and the stored S conductors."""
@@ -72,7 +72,7 @@ def working_conductor(md: ModularDatum) -> int:
     return N
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def _ratio_columns(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
     r = md.rank
     S = md.S
@@ -87,7 +87,7 @@ def _ratio_columns(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
     return tuple(cols)
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def galois_permutation(md: ModularDatum, k: int) -> GaloisPermutation:
     """The permutation sigma-hat with
     sigma_k(S[x][y] / S[0][y]) = S[x][sigma-hat(y)] / S[0][sigma-hat(y)].

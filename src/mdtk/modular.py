@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from .cyclo import Cyc, RootOfUnity, euler_phi, rational
 
@@ -69,7 +69,8 @@ class ModularDatum:
     T[0] = 1.  Row and column 0 always refer to the unit object.
 
     Construction enforces shape and normalization only; run `verify` for
-    the full battery.  Instances are compared and cached by identity.
+    the full battery.  Instances are compared by identity; the invariants
+    computed from one are cached on the instance and freed with it.
     """
 
     def __init__(self, labels, S, T, name=None, _trusted=False):
@@ -100,8 +101,7 @@ class ModularDatum:
         self.S = S
         self.T = T
         self.name = name
-        self._unitarity: str | None = None  # see _unitarity_witness
-        self._lifted = None  # see _lifted_s
+        self._memo: dict = {}  # see _kept_on_datum
 
     @property
     def rank(self) -> int:
@@ -163,16 +163,28 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# cached basic invariants
+# basic invariants, kept on the datum
 
 
-@lru_cache(maxsize=None)
+def _kept_on_datum(fn):
+    """Cache fn(md, *args) in md._memo, so it is computed once per datum and
+    freed with it.  A call that raises is not cached."""
+    @wraps(fn)
+    def kept(md, *args):
+        key = (fn, *args)
+        if key not in md._memo:
+            md._memo[key] = fn(md, *args)
+        return md._memo[key]
+    return kept
+
+
+@_kept_on_datum
 def dims(md: ModularDatum) -> tuple[Cyc, ...]:
     """dim(X) = S[0][X] for each object, read off the unit row."""
     return md.S[0]
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def global_dim(md: ModularDatum) -> Cyc:
     """Sum of the squared object dimensions; totally real and nonzero for
     sane data."""
@@ -186,7 +198,7 @@ def global_dim(md: ModularDatum) -> Cyc:
     return d
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def fs_exponent(md: ModularDatum) -> int:
     """lcm of the orders of the T entries."""
     return math.lcm(*(t.order for t in md.T))
@@ -204,7 +216,7 @@ def gauss_sum(md: ModularDatum, sign: int = 1) -> Cyc:
     return acc
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def ndim(md: ModularDatum) -> int:
     """Product of the Galois conjugates of the global dimension (its field
     norm); a positive rational integer for modular data."""
@@ -220,7 +232,7 @@ def _integer_norm(D: Cyc) -> int:
     return int(nm)
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def anomaly(md: ModularDatum) -> RootOfUnity:
     """The root of unity gauss_sum(+1)^2 / global_dim."""
     x = gauss_sum(md, 1)
@@ -285,15 +297,15 @@ class FusionTensor:
         return tuple(tuple(self.N[x][y][z] for y in range(r)) for z in range(r))
 
 
+@_kept_on_datum
 def _lifted_s(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
     """S with every entry lifted to the lcm of the entry conductors, so that
-    equal entries have equal (den, num).  The result is kept on the datum."""
-    if md._lifted is None:
-        m = math.lcm(*(e.n for row in md.S for e in row))
-        md._lifted = tuple(tuple(e.lift(m) for e in row) for row in md.S)
-    return md._lifted
+    equal entries have equal (den, num)."""
+    m = math.lcm(*(e.n for row in md.S for e in row))
+    return tuple(tuple(e.lift(m) for e in row) for row in md.S)
 
 
+@_kept_on_datum
 def _unitarity_witness(md: ModularDatum) -> str:
     """The first entry of S Sbar^T that differs from D I, as a witness, or
     "" when S Sbar^T = D I holds exactly.
@@ -301,29 +313,23 @@ def _unitarity_witness(md: ModularDatum) -> str:
     The product is Hermitian, so an entry below the diagonal is nonzero
     exactly when its mirror above the diagonal is: the first failure in
     row-major order always has j >= i, and only the upper triangle is
-    computed.  The result is kept on the datum.
+    computed.
     """
-    if md._unitarity is None:
-        r = md.rank
-        S = md.S
-        D = global_dim(md)
-        Sbar = [[e.conj() for e in row] for row in S]
-        bad = ""
-        for i in range(r):
-            for j in range(i, r):
-                acc = rational(0)
-                for k in range(r):
-                    acc = acc + S[i][k] * Sbar[j][k]
-                if acc != (D if i == j else 0):
-                    bad = f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
-                    break
-            if bad:
-                break
-        md._unitarity = bad
-    return md._unitarity
+    r = md.rank
+    S = md.S
+    D = global_dim(md)
+    Sbar = [[e.conj() for e in row] for row in S]
+    for i in range(r):
+        for j in range(i, r):
+            acc = rational(0)
+            for k in range(r):
+                acc = acc + S[i][k] * Sbar[j][k]
+            if acc != (D if i == j else 0):
+                return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
+    return ""
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     """Fusion multiplicities from the S matrix:
 
@@ -515,11 +521,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     # that is when conjugating column j of S gives column C(j); S is
     # symmetric, so its rows serve as its columns
     charge = None
-    charge_bad = None
-    if sym_bad is not None or unitary_bad:
-        charge_bad = "prerequisite check failed"
-    else:
-
+    charge_bad = "prerequisite check failed"
+    if sym_bad is None and not unitary_bad:
         def key(row):
             return tuple((e.den, e.num) for e in row)
 
@@ -527,16 +530,12 @@ def verify(md: ModularDatum) -> VerificationReport:
         where = {key(row): j for j, row in enumerate(L)}
         perm = [where.get(key(map(Cyc.conj, row))) for row in L]
         miss = next((j for j in range(r) if perm[j] is None), None)
-        if miss is not None:
-            charge_bad = f"the conjugate of column {labels[miss]} is not a column of S"
-        elif sorted(perm) != list(range(r)):
-            charge_bad = "conjugating the columns of S is not a permutation"
-        elif any(perm[perm[i]] != i for i in range(r)):
-            charge_bad = "charge conjugation is not an involution"
-        elif perm[0] != 0:
-            charge_bad = "charge conjugation moves the unit"
+        # with no miss, perm is an involution fixing the unit: S Sbar = D I
+        # makes the columns distinct, and sum |d|^2 = sum d^2 makes d real
+        if miss is None:
+            charge, charge_bad = perm, None
         else:
-            charge = perm
+            charge_bad = f"the conjugate of column {labels[miss]} is not a column of S"
     checks.append(Check("charge-conjugation", charge_bad is None, charge_bad or ""))
 
     ft = None
@@ -631,7 +630,7 @@ def _certify_equal_with_sqrt(g3: Cyc, tau: Cyc, dim: Cyc) -> bool:
     raise ArithmeticError("could not certify the Gauss sum sign")
 
 
-@lru_cache(maxsize=None)
+@_kept_on_datum
 def normalized_t_order(md: ModularDatum) -> tuple[RootOfUnity, int]:
     """A distinguished scalar gamma with gamma^3 = tau+ / sqrt(D), and the
     order n_t of the rescaled matrix t = T * gamma^(-1).

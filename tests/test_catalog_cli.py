@@ -2,11 +2,13 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from mdtk.catalog_cli import (
+    MAX_CONDUCTOR,
     _product_bound,
     builtin,
     builtin_names,
@@ -21,6 +23,7 @@ from mdtk.catalog_cli import (
 from mdtk.bounds import bound_check
 from mdtk.construct import deligne_product, fibonacci, ising, so5_level9
 from mdtk.cyclo import RootOfUnity, rational
+from mdtk.galois import working_conductor
 from mdtk.modular import (
     DataFormatError,
     ModularDatum,
@@ -100,6 +103,35 @@ def malformed_dicts():
     bad_labels = to_dict(ising(1, 1))
     bad_labels["labels"] = 5
     return zero_den, bad_labels
+
+
+def hostile_conductor_dicts():
+    big_t = to_dict(ising(1, 1))
+    big_t["T"][2] = {"m": 20011, "k": 1}
+    big_s = to_dict(ising(1, 1))
+    big_s["S"][2][2] = {"n": 10**18 + 9, "c": [["1", "1"]]}
+    return big_t, big_s
+
+
+def test_from_dict_caps_the_conductor_before_parsing():
+    for obj in hostile_conductor_dicts():
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match=f"above the limit {MAX_CONDUCTOR}"):
+            from_dict(obj)
+        assert time.perf_counter() - start < 1.0
+    # the largest datum the library builds, working conductor 8640, still loads
+    md = deligne_product(deligne_product(ising(1, 1), fibonacci(1)), so5_level9(1))
+    assert working_conductor(md) == 8640 <= MAX_CONDUCTOR
+    assert data_equal(from_dict(json.loads(json.dumps(to_dict(md)))), md)
+
+
+def test_cli_hostile_conductor_is_one_error_line(tmp_path, capsys):
+    for obj in hostile_conductor_dicts():
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "above the limit" in err and err.count("\n") == 1
 
 
 def test_from_dict_rejects_zero_denominator_and_non_list_labels():
