@@ -39,6 +39,7 @@ from .modular import (
     global_dim,
     invertibles,
     ndim,
+    normalized_t,
     normalized_t_order,
     subcategory_generated,
     symmetric_center,

@@ -29,7 +29,7 @@ from .modular import (
     global_dim,
     invertibles,
     ndim,
-    normalized_t_order,
+    normalized_t,
     verlinde_fusion,
 )
 
@@ -170,9 +170,10 @@ def _square_galois_degree(m: int) -> int:
 
 
 def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
-    """Evaluate the orbit bound at one object.  The comparison is exact:
-    the orbit sum is totally real and is compared with the rational bound
-    through a certified sign computation."""
+    """Evaluate the orbit bound at one object.  The degree is read off the
+    order of t[X] in the normalized T, t = T * gamma (`normalized_t`).  The
+    comparison is exact: the orbit sum is totally real and is compared with
+    the rational bound through a certified sign computation."""
     D = global_dim(md)
     if not (D.is_rational() and D.as_fraction().denominator == 1):
         return LemmaVerdict(
@@ -181,9 +182,7 @@ def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
             note="global dimension is not a rational integer",
         )
     x = md.index(label)
-    gamma, _ = normalized_t_order(md)
-    t_x = md.T[x] * gamma.inverse()
-    deg = _square_galois_degree(t_x.order)
+    deg = _square_galois_degree(normalized_t(md)[1][x].order)
     m_val = dims(md)[x].m_measure()
     labels, total = orbit_t(md, label)
     bound = Fraction(deg) * m_val
@@ -201,15 +200,14 @@ def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
 
 def key_object(md: ModularDatum) -> str:
     """For data whose T order is a prime power, a label X with
-    FSexp | ord(t[X]) for the normalized T; such an object always exists
-    because the lcm of the normalized orders is a multiple of FSexp."""
+    FSexp | ord(t[X]) for the normalized T, t = T * gamma (`normalized_t`);
+    such an object always exists because the lcm of the normalized orders is
+    a multiple of FSexp."""
     fs = fs_exponent(md)
     if prime_power(fs) is None:
         raise NotModularError(f"T order {fs} is not a prime power")
-    gamma, _ = normalized_t_order(md)
-    ginv = gamma.inverse()
-    for i, t in enumerate(md.T):
-        if (t * ginv).order % fs == 0:
+    for i, t in enumerate(normalized_t(md)[1]):
+        if t.order % fs == 0:
             return md.labels[i]
     raise NotModularError("no object attains the full T order after normalization")
 

@@ -105,7 +105,8 @@ def from_dict(obj: dict) -> ModularDatum:
     if not isinstance(obj["labels"], list):
         raise DataFormatError("labels must be a list")
     try:
-        _check_conductor_cap(obj["S"], obj["T"])
+        _check_conductor_cap([e.get("n") for row in obj["S"] for e in row if isinstance(e, dict)]
+                             + [t.get("m") for t in obj["T"] if isinstance(t, dict)])
         S = [[Cyc.from_json(e) for e in row] for row in obj["S"]]
         T = [RootOfUnity.from_json(t) for t in obj["T"]]
     except (ValueError, TypeError) as e:
@@ -115,21 +116,18 @@ def from_dict(obj: dict) -> ModularDatum:
     return md
 
 
-def _check_conductor_cap(S, T) -> None:
-    """Reject raw S and T entries whose conductors could need a working
-    conductor above MAX_CONDUCTOR, before any entry is parsed.
+def _check_conductor_cap(conductors) -> None:
+    """Reject S conductors and T orders that could need a working conductor
+    above MAX_CONDUCTOR, before anything is built from them.
 
     Every conductor a computation on the datum reaches, the working
     conductor lcm(12 FSexp, S conductors) included, divides 12 times the
-    lcm of the stored S conductors "n" and T orders "m".  Field tables grow
-    with the square of the conductor, so one large "m" would otherwise
-    exhaust memory.  Values that are not nonzero integers are left to the
-    entry checks.
+    lcm of the S conductors and T orders.  Field tables grow with the square
+    of the conductor, so one large T order would otherwise exhaust memory.
+    Values that are not nonzero integers are left to the entry checks.
     """
-    raw = [e.get("n") for row in S for e in row if isinstance(e, dict)]
-    raw += [t.get("m") for t in T if isinstance(t, dict)]
     N = 1
-    for v in raw:
+    for v in conductors:
         if isinstance(v, int) and v:
             N = math.lcm(N, v)
             if 12 * N > MAX_CONDUCTOR:
@@ -541,6 +539,8 @@ def _cmd_conjugate(args, out) -> int:
 def _cmd_product(args, out) -> int:
     a = _resolve(args.left)
     b = _resolve(args.right)
+    _check_conductor_cap([e.n for md in (a, b) for row in md.S for e in row]
+                         + [t.order for md in (a, b) for t in md.T])
     _emit_datum(deligne_product(a, b), args.output, out)
     return 0
 

@@ -26,7 +26,7 @@ from .modular import (
     fs_exponent,
     global_dim,
     ndim,
-    normalized_t_order,
+    normalized_t,
     verify,
 )
 
@@ -262,17 +262,15 @@ def verify_galois_identities(
     checks.append(Check("dim-identity", dim_bad is None, dim_bad or ""))
 
     try:
-        gamma, _ = normalized_t_order(md)
-        # the matrix satisfying the squared-Galois law is T * gamma, the
-        # entrywise inverse of theta / gamma; T * gamma^(-1) is its complex
-        # conjugate and obeys the law only on self-conjugate data
-        t_entries = [(t * gamma).to_cyc() for t in md.T]
+        # ord(t[X]) divides 12 FSexp, which divides N, so sigma_k2 acts on
+        # t[X] as the power k2
+        t = normalized_t(md)[1]
         t_bad = None
         for k in units:
             perm = galois_permutation(md, k)
             k2 = (k * k) % N
             for x in range(r):
-                if t_entries[x].galois(k2) != t_entries[perm.index(x)]:
+                if t[x] ** k2 != t[perm.index(x)]:
                     t_bad = f"t identity fails at k = {k}, X = {md.labels[x]}"
                     break
             if t_bad:

@@ -37,6 +37,7 @@ __all__ = [
     "gauss_sum",
     "ndim",
     "anomaly",
+    "normalized_t",
     "normalized_t_order",
     "fpdim_pseudounitary",
     "invertibles",
@@ -598,70 +599,47 @@ def verify(md: ModularDatum) -> VerificationReport:
 # the normalized T matrix
 
 
-def _certify_equal_with_sqrt(g3: Cyc, tau: Cyc, dim: Cyc) -> bool:
-    """Decide g3 * sqrt(dim) == tau given (g3 * sqrt(dim))^2 == tau^2.
-
-    The difference is either 0 or -2 tau, and |2 tau| = 2 sqrt(dim) >= 2,
-    so interval evaluation at growing precision always separates the two.
-    """
-    import mpmath
-
-    prec = 64
-    while prec <= 1 << 16:
-        with mpmath.workprec(prec + 32):
-            ivd = dim.embed(prec)
-            lo = ivd.re - ivd.radius
-            hi = ivd.re + ivd.radius
-            if lo > 0:
-                s_lo, s_hi = mpmath.sqrt(lo), mpmath.sqrt(hi)
-                smid = (s_lo + s_hi) / 2
-                srad = (s_hi - s_lo) / 2 + mpmath.mpf(2) ** (-prec)
-                ivg = g3.embed(prec)
-                ivt = tau.embed(prec)
-                gabs = mpmath.hypot(ivg.re, ivg.im) + ivg.radius
-                prad = gabs * srad + smid * ivg.radius
-                m = mpmath.hypot(ivg.re * smid - ivt.re, ivg.im * smid - ivt.im)
-                rad = prad + ivt.radius + mpmath.mpf(2) ** (-prec)
-                if m > rad:
-                    return False
-                if m + rad < s_lo:
-                    return True
-        prec *= 2
-    raise ArithmeticError("could not certify the Gauss sum sign")
-
-
 @_kept_on_datum
-def normalized_t_order(md: ModularDatum) -> tuple[RootOfUnity, int]:
-    """A distinguished scalar gamma with gamma^3 = tau+ / sqrt(D), and the
-    order n_t of the rescaled matrix t = T * gamma^(-1).
+def normalized_t(md: ModularDatum) -> tuple[RootOfUnity, tuple[RootOfUnity, ...]]:
+    """A scalar gamma with gamma^3 = tau+ / sqrt(D), and the normalized T,
+    t = T * gamma, which obeys sigma^2(t[X]) = t[sigma-hat X] (Dong, Lin, Ng,
+    "Congruence property in conformal field theory", 2015).  This is the
+    only place t is formed.
 
-    gamma is found among the six sixth roots of the anomaly: each candidate
-    g satisfies g^6 = anomaly, hence (g^3)^2 D = tau+^2, and exactly three
-    satisfy g^3 sqrt(D) = tau+ on the nose; of those the one with smallest
-    (order, exponent) is returned.  The order n_t is checked to be a
-    multiple of the T order and a divisor of 12 times it.
+    Each sixth root g of the anomaly has (tau+ g^(-3))^2 = D, and
+    g^3 sqrt(D) = tau+ exactly when tau+ g^(-3) is totally real and
+    positive; of the three such g, gamma has the smallest (order, exponent).
+    The order of t is checked to be a multiple of the T order and a divisor
+    of 12 times it.
     """
     xi = anomaly(md)
     tau = gauss_sum(md, 1)
-    D = global_dim(md)
     M = xi.order
     winners = []
     for j in range(6):
         g = RootOfUnity.make(6 * M, xi.exponent + j * M)
-        g3 = (g**3).to_cyc()
-        if _certify_equal_with_sqrt(g3, tau, D):
+        root = tau * (g**-3).to_cyc()
+        if root.is_totally_real() and root.sign() > 0:
             winners.append(g)
     if not winners:
         raise NotModularError("no sixth root of the anomaly matches the Gauss sum")
     gamma = min(winners, key=lambda g: (g.order, g.exponent))
-    ginv = gamma.inverse()
-    n_t = math.lcm(*((t * ginv).order for t in md.T))
+    t = tuple(x * gamma for x in md.T)
+    n_t = math.lcm(*(x.order for x in t))
     fs = fs_exponent(md)
     if n_t % fs != 0 or (12 * fs) % n_t != 0:
         raise NotModularError(
             f"normalized T order {n_t} is not between the T order {fs} and 12 times it"
         )
-    return gamma, n_t
+    return gamma, t
+
+
+@_kept_on_datum
+def normalized_t_order(md: ModularDatum) -> tuple[RootOfUnity, int]:
+    """gamma and the order n_t of the normalized T, t = T * gamma: the lcm of
+    the orders of the entries of `normalized_t`."""
+    gamma, t = normalized_t(md)
+    return gamma, math.lcm(*(x.order for x in t))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,15 @@ def test_lemma_pointed_entries():
     assert v.orbit_labels == ("g1", "g4")
 
 
+def test_lemma_so5_degree_follows_normalized_t():
+    # every entry of t = T * gamma has order 9, and 9 has 3 distinct
+    # squares among its units
+    md = so5_level9(1)
+    for lab in md.labels:
+        v = lemma_orbit_bound(md, lab)
+        assert v.degree == 3 and v.holds, (lab, v)
+
+
 def test_lemma_doubles():
     for orders in ((2,), (3,)):
         md = double_abelian(orders)
@@ -173,6 +182,11 @@ def test_key_object():
     assert key_object(so5_level9(1)) == "1"
     assert key_object(cyclic_pointed(5)) == "g1"
     assert key_object(double_abelian((2,))) == "g(1,1)"
+
+
+def test_key_object_on_prime_power_products():
+    assert key_object(deligne_product(ising(1, 1), ising(3, -1))) == "(1,sigma)"
+    assert key_object(deligne_product(so5_level9(1), cyclic_pointed(9))) == "(1,1)"
 
 
 def test_key_object_needs_prime_power():

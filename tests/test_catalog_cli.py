@@ -1,12 +1,15 @@
 """Serialization, the builtin catalog, and the command line interface."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import mdtk
 from mdtk.catalog_cli import (
     MAX_CONDUCTOR,
     _product_bound,
@@ -20,9 +23,9 @@ from mdtk.catalog_cli import (
     save,
     to_dict,
 )
-from mdtk.bounds import bound_check
+from mdtk.bounds import bound_check, key_object, lemma_orbit_bound
 from mdtk.construct import deligne_product, fibonacci, ising, so5_level9
-from mdtk.cyclo import RootOfUnity, rational
+from mdtk.cyclo import RootOfUnity, rational, root_of_unity
 from mdtk.galois import working_conductor
 from mdtk.modular import (
     DataFormatError,
@@ -30,6 +33,8 @@ from mdtk.modular import (
     NotModularError,
     data_equal,
     fpdim_pseudounitary,
+    normalized_t,
+    normalized_t_order,
     verify,
 )
 
@@ -132,6 +137,71 @@ def test_cli_hostile_conductor_is_one_error_line(tmp_path, capsys):
         assert main(["verify", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "above the limit" in err and err.count("\n") == 1
+
+
+def negative_dim_dict():
+    """Rank 3 with S = [[1, i, i], [i, 1, 0], [i, 0, 1]] and T = (1, z4^3, z4):
+    D = 1 + i^2 + i^2 = -1, tau+ = 1 - z4 - z4^3 = 1, anomaly -1."""
+    one, zero = {"n": 1, "c": [["1", "1"]]}, {"n": 1, "c": [["0", "1"]]}
+    i = {"n": 4, "c": [["0", "1"], ["1", "1"]]}
+    return {
+        "name": "negative-dim",
+        "labels": ["1", "a", "b"],
+        "S": [[one, i, i], [i, one, zero], [i, zero, one]],
+        "T": [{"m": 1, "k": 0}, {"m": 4, "k": 3}, {"m": 4, "k": 1}],
+    }
+
+
+def test_negative_global_dim_has_no_normalized_t():
+    # tau+ g^(-3) squares to D = -1, so no sixth root g of the anomaly
+    # makes it a positive square root of D
+    md = from_dict(negative_dim_dict())
+    for fn in (normalized_t, normalized_t_order, key_object,
+               lambda md: lemma_orbit_bound(md, "a")):
+        with pytest.raises(NotModularError, match="no sixth root of the anomaly"):
+            fn(md)
+
+
+def test_cli_report_on_negative_global_dim_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(negative_dim_dict()))
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_on_negative_global_dim_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(negative_dim_dict()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mdtk.__file__)))
+    run_main = "import sys; from mdtk.catalog_cli import main; sys.exit(main())"
+    for args in (["verify"], ["report"], ["fusion"], ["orbits"],
+                 ["bound-check", "--classify"], ["conjugate", "--k", "3"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", run_main, args[0], str(path), *args[1:]],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr, (args, proc.stderr)
+
+
+def test_cli_product_caps_the_conductor_before_multiplying(tmp_path, capsys):
+    # each factor passes the load cap (12 * 16 and 12 * 63), but the
+    # product needs 12 * lcm(16, 63) = 12096
+    paths = []
+    for n in (16, 63):
+        z = root_of_unity(n, 1)
+        md = ModularDatum(["1", "x"], [[1, z], [z, 1]], [1, RootOfUnity.make(n, 1)],
+                          name=f"c{n}")
+        paths.append(str(tmp_path / f"c{n}.json"))
+        save(md, paths[-1])
+        assert data_equal(load(paths[-1]), md)
+    out = tmp_path / "product.json"
+    assert main(["product", *paths, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "12096, above the limit" in err
+    assert not out.exists()
 
 
 def test_from_dict_rejects_zero_denominator_and_non_list_labels():

@@ -37,6 +37,7 @@ from mdtk.modular import (
     global_dim,
     invertibles,
     ndim,
+    normalized_t,
     normalized_t_order,
     subcategory_generated,
     symmetric_center,
@@ -171,6 +172,15 @@ def test_normalized_t_order_frozen_values():
         gamma, nt = normalized_t_order(md)
         assert gamma == want_gamma, md.name
         assert nt == want_nt, md.name
+
+
+def test_normalized_t_by_hand():
+    # gamma = z20^11 and T = (1, z5^2) = (1, z20^8), so T * gamma is
+    # (z20^11, z20^19)
+    gamma, t19 = RootOfUnity.make(20, 11), RootOfUnity.make(20, 19)
+    assert normalized_t(fibonacci(1)) == (gamma, (gamma, t19))
+    # T * gamma^(-1) would give u0 to u2 orders 1 or 3; T * gamma gives 9
+    assert all(t.order == 9 for t in normalized_t(so5_level9(1))[1])
 
 
 def test_normalized_t_order_divisibility():
