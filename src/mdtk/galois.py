@@ -6,6 +6,13 @@ datum.  The permutation is recovered by matching conjugated ratio columns
 S[x][y] / S[0][y] against the original ones; the working conductor is the
 lcm of 12 times the T order with the conductors of the stored S entries,
 which contains every value the identities mention.
+
+The ratio columns lie in Q(zeta_m), m the lcm of the S entry conductors,
+which divides the working conductor N.  So sigma-hat_k depends only on
+k mod m (Coste-Gannon, Phys. Lett. B 1994; Dong-Lin-Ng, ANT 2015): it is
+computed once per residue mod m and shared by every unit mod N in that
+class.  The dimensions and D lie in Q(zeta_m) too, so the dimension
+identity is checked once per residue, which still covers every unit.
 """
 
 from __future__ import annotations
@@ -72,25 +79,74 @@ def working_conductor(md: ModularDatum) -> int:
     return N
 
 
+@dataclass(frozen=True)
+class _RatioColumns:
+    """The ratio columns S[x][y] / S[0][y] over a table of their distinct
+    values.  Every value is lifted once to `conductor`, the lcm of the S
+    entry conductors, so equal values have equal (den, num); `ids` maps that
+    key to the value's position in `values`, `columns[y]` holds the ids of
+    column y, and `carriers` maps an id tuple to the columns carrying it, in
+    increasing order."""
+
+    conductor: int
+    values: tuple[Cyc, ...]
+    ids: dict
+    columns: tuple[tuple[int, ...], ...]
+    carriers: dict
+
+
 @_kept_on_datum
-def _ratio_columns(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
+def _ratio_columns(md: ModularDatum) -> _RatioColumns:
     r = md.rank
     S = md.S
-    cols = []
+    m = math.lcm(*(e.n for row in S for e in row))
+    values: list[Cyc] = []
+    ids: dict = {}
+    columns = []
     for y in range(r):
         if S[0][y].is_zero():
             raise NotModularError(
                 f"S[0][{md.labels[y]}] is zero; ratio columns undefined"
             )
         inv = S[0][y].inverse()
-        cols.append(tuple(S[x][y] * inv for x in range(r)))
-    return tuple(cols)
+        col = []
+        for x in range(r):
+            v = (S[x][y] * inv).lift(m)
+            key = (v.den, v.num)
+            if key not in ids:
+                ids[key] = len(values)
+                values.append(v)
+            col.append(ids[key])
+        columns.append(tuple(col))
+    carriers: dict = {}
+    for y, col in enumerate(columns):
+        carriers[col] = carriers.get(col, ()) + (y,)
+    return _RatioColumns(m, tuple(values), ids, tuple(columns), carriers)
+
+
+@_kept_on_datum
+def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
+    """For each column y, the columns whose ratio column is the image of
+    column y under zeta_m -> zeta_m^j, with m the ratio conductor.  The
+    automorphism is applied once per distinct value, and each image column
+    is looked up by its ids; an image outside the table has no id and so
+    matches no column."""
+    table = _ratio_columns(md)
+    image = [table.ids.get((w.den, w.num)) for w in (v.galois(j) for v in table.values)]
+    return tuple(
+        table.carriers.get(tuple(image[i] for i in col), ()) for col in table.columns
+    )
 
 
 @_kept_on_datum
 def galois_permutation(md: ModularDatum, k: int) -> GaloisPermutation:
     """The permutation sigma-hat with
     sigma_k(S[x][y] / S[0][y]) = S[x][sigma-hat(y)] / S[0][sigma-hat(y)].
+
+    The ratio columns lie in Q(zeta_m), m the lcm of the S entry conductors,
+    so sigma-hat depends only on k mod m (Coste-Gannon, Phys. Lett. B 1994):
+    the matching is computed once per residue and kept on the datum, and
+    every unit k mod the working conductor reads the one for its residue.
 
     Raises NotModularError when some conjugated column matches no object
     and DegenerateDataError when it matches more than one.
@@ -100,47 +156,52 @@ def galois_permutation(md: ModularDatum, k: int) -> GaloisPermutation:
     if math.gcd(k, N) != 1:
         raise ValueError(f"{k} is not a unit mod {N}")
     r = md.rank
-    cols = _ratio_columns(md)
-    mapping = []
-    for y in range(r):
-        target = tuple(e.galois(k) for e in cols[y])
-        hits = [
-            y2
-            for y2 in range(r)
-            if all(cols[y2][x] == target[x] for x in range(r))
-        ]
-        if not hits:
+    hits = _matching_at(md, k % _ratio_columns(md).conductor)
+    for y, h in enumerate(hits):
+        if not h:
             raise NotModularError(
                 f"no object realizes the conjugate of column {md.labels[y]} under k = {k}"
             )
-        if len(hits) > 1:
+        if len(h) > 1:
             raise DegenerateDataError(
-                f"columns {[md.labels[h] for h in hits]} coincide; Galois matching is ambiguous"
+                f"columns {[md.labels[i] for i in h]} coincide; Galois matching is ambiguous"
             )
-        mapping.append(hits[0])
+    mapping = tuple(h[0] for h in hits)
     if sorted(mapping) != list(range(r)):
         raise NotModularError(f"Galois matching for k = {k} is not a permutation")
-    return GaloisPermutation(k, tuple(mapping), md.labels)
+    return GaloisPermutation(k, mapping, md.labels)
+
+
+def _first_per_class(ks, m: int):
+    """The first k of each residue class mod m, in the order given."""
+    seen = set()
+    for k in ks:
+        if k % m not in seen:
+            seen.add(k % m)
+            yield k
+
+
+def _distinct_permutations(md: ModularDatum, squares: bool) -> list[GaloisPermutation]:
+    """sigma-hat at the first unit k mod N of each class mod the ratio
+    conductor (at k^2 with squares), which are all the distinct ones; a
+    failure is raised at the same k as a sweep over every unit would."""
+    N = working_conductor(md)
+    m = _ratio_columns(md).conductor
+    ks = ((k * k) % N for k in units_mod(N)) if squares else units_mod(N)
+    return [galois_permutation(md, k) for k in _first_per_class(ks, m)]
 
 
 def orbit(md: ModularDatum, label: str) -> set[str]:
     """Labels reachable from the given object under all sigma-hat."""
     x = md.index(label)
-    N = working_conductor(md)
-    out = set()
-    for k in units_mod(N):
-        out.add(md.labels[galois_permutation(md, k).index(x)])
-    return out
+    return {md.labels[p.index(x)] for p in _distinct_permutations(md, False)}
 
 
 def orbit_t(md: ModularDatum, label: str) -> tuple[set[str], Cyc]:
     """The suborbit of the object under the squared units (the image of
     sigma-hat restricted to k^2) and the sum of squared dimensions over it."""
     x = md.index(label)
-    N = working_conductor(md)
-    idxs = set()
-    for k in units_mod(N):
-        idxs.add(galois_permutation(md, (k * k) % N).index(x))
+    idxs = {p.index(x) for p in _distinct_permutations(md, True)}
     d = dims(md)
     total = rational(0)
     for i in idxs:
@@ -178,7 +239,8 @@ def bar_category(md: ModularDatum) -> ModularDatum:
     N = working_conductor(md)
     reps = []
     seen: list[Cyc] = []
-    for k in units_mod(N):
+    # D.galois(k) depends only on k mod the conductor of D
+    for k in _first_per_class(units_mod(N), D.n):
         v = D.galois(k)
         if not any(v == w for w in seen):
             seen.append(v)
@@ -208,10 +270,16 @@ def verify_galois_identities(
 
         sigma^2(t[X]) = t[sigma-hat X].
 
-    By default every unit of the working conductor is swept.  With
-    generators_only the pointwise identities run on the unit group
-    generators alone; since each identity for a product of units follows
-    from the identities for the factors, this is a sound spot check.
+    By default every unit of the working conductor is swept.  The
+    dimension identity at k involves only d, D and sigma-hat_k, which all
+    depend on k through k mod m, the lcm of the S entry conductors
+    (Coste-Gannon, Phys. Lett. B 1994), so it runs on the first unit of
+    each class mod m: this covers every unit, and the first failure is
+    reported at the same k as a check of every unit would report it.  The
+    t-squared identity runs on every unit.  With generators_only the
+    pointwise identities run on the unit group generators alone; since
+    each identity for a product of units follows from the identities for
+    the factors, this is a sound spot check.
     """
     checks: list[Check] = []
     N = working_conductor(md)
@@ -248,7 +316,7 @@ def verify_galois_identities(
     D = global_dim(md)
     d = dims(md)
     dim_bad = None
-    for k in units:
+    for k in _first_per_class(units, _ratio_columns(md).conductor):
         perm = galois_permutation(md, k)
         factor = D * D.galois(k).inverse()
         for x in range(r):

@@ -1,11 +1,18 @@
 """Galois permutations of simple objects, orbits, conjugate data, and the
 identity battery built on them."""
 
+import math
+import random
+import time
+from functools import partial
+
 import pytest
 
-from mdtk.cyclo import rational
+from mdtk.catalog_cli import builtin, builtin_names
+from mdtk.cyclo import RootOfUnity, rational, root_of_unity, units_mod
 from mdtk.construct import (
     MetricGroup,
+    deligne_product,
     double_abelian,
     fibonacci,
     ising,
@@ -22,7 +29,11 @@ from mdtk.galois import (
     working_conductor,
 )
 from mdtk.modular import (
+    DegenerateDataError,
+    ModularDatum,
+    NotModularError,
     data_equal,
+    dims,
     fs_exponent,
     global_dim,
     ndim,
@@ -200,3 +211,166 @@ def test_galois_identity_check_names():
         "dim-identity",
         "t-squared-identity",
     }
+
+
+# ------------------------------------------- reference matcher and errors
+
+
+def _reference_matcher(md):
+    """sigma-hat_k as a function of k, by direct search: each conjugated
+    ratio column is compared with every column entry by entry with
+    Cyc.__eq__."""
+    N = working_conductor(md)
+    r = md.rank
+    S = md.S
+    cols = []
+
+    def permutation(k):
+        k %= N
+        if math.gcd(k, N) != 1:
+            raise ValueError(f"{k} is not a unit mod {N}")
+        if not cols:
+            for y in range(r):
+                if S[0][y].is_zero():
+                    raise NotModularError(
+                        f"S[0][{md.labels[y]}] is zero; ratio columns undefined"
+                    )
+            cols.extend([S[x][y] / S[0][y] for x in range(r)] for y in range(r))
+        mapping = []
+        for y in range(r):
+            target = [e.galois(k) for e in cols[y]]
+            hits = [z for z in range(r) if all(a == b for a, b in zip(cols[z], target))]
+            if not hits:
+                raise NotModularError(
+                    f"no object realizes the conjugate of column {md.labels[y]} under k = {k}"
+                )
+            if len(hits) > 1:
+                raise DegenerateDataError(
+                    f"columns {[md.labels[h] for h in hits]} coincide; Galois matching is ambiguous"
+                )
+            mapping.append(hits[0])
+        if sorted(mapping) != list(range(r)):
+            raise NotModularError(f"Galois matching for k = {k} is not a permutation")
+        return tuple(mapping)
+
+    return permutation
+
+
+def _outcome(fn, k):
+    try:
+        return fn(k)
+    except (ValueError, NotModularError, DegenerateDataError) as e:
+        return type(e).__name__, str(e)
+
+
+def _mutated(md, rng):
+    """One seeded mutation: an S entry and its mirror times -1, i or zeta_3,
+    two non-unit objects swapped, or one T exponent shifted."""
+    r = md.rank
+    S = [list(row) for row in md.S]
+    T = list(md.T)
+    labels = list(md.labels)
+    kind = rng.choice(("phase", "swap", "t-shift"))
+    if kind == "phase":
+        a, b = sorted((rng.randrange(r), rng.randrange(1, r)))
+        c = rng.choice((-1, root_of_unity(4, 1), root_of_unity(3, 1)))
+        S[a][b] = S[a][b] * c
+        S[b][a] = S[a][b]
+    elif kind == "swap" and r > 2:
+        a, b = rng.sample(range(1, r), 2)
+        p = list(range(r))
+        p[a], p[b] = b, a
+        S = [[S[p[i]][p[j]] for j in range(r)] for i in range(r)]
+        T = [T[i] for i in p]
+        labels = [labels[i] for i in p]
+    else:
+        x = rng.randrange(1, r)
+        T[x] = T[x] * RootOfUnity.make(rng.choice((2, 3, 4)), 1)
+    return ModularDatum(labels, S, T, name=f"{md.name}~{kind}")
+
+
+def test_permutation_matches_reference_matcher():
+    data = [builtin(n) for n in builtin_names()]
+    data.append(deligne_product(ising(1, 1), fibonacci(1)))
+    rng = random.Random(20240601)
+    small = [n for n in builtin_names() if builtin(n).rank <= 6]
+    data += [_mutated(builtin(rng.choice(small)), rng) for _ in range(24)]
+    failures = set()
+    for md in data:
+        N = working_conductor(md)
+        reference = _reference_matcher(md)
+        for k in units_mod(N) + (0, N - 2, N + 1):
+            got = _outcome(partial(galois_permutation, md), k)
+            want = _outcome(reference, k)
+            if isinstance(got, tuple) and isinstance(got[0], str):
+                failures.add(got[0])
+            else:
+                got = got.mapping
+            assert got == want, (md.name, k)
+    # the mutations reach the error paths, not only the mappings
+    assert {"ValueError", "NotModularError"} <= failures
+
+
+def test_degenerate_columns_raise():
+    # ratio columns of a and b are both (1, -1, -1)
+    md = ModularDatum(
+        ("1", "a", "b"),
+        [[1, 1, 1], [1, -1, -1], [1, -1, -1]],
+        [RootOfUnity.one()] * 3,
+    )
+    with pytest.raises(DegenerateDataError) as err:
+        galois_permutation(md, 1)
+    assert str(err.value) == "columns ['a', 'b'] coincide; Galois matching is ambiguous"
+    check = verify_galois_identities(md).checks[0]
+    assert check.name == "permutation-exists" and not check.passed
+    assert check.witness == "k = 1: columns ['a', 'b'] coincide; Galois matching is ambiguous"
+
+
+def test_missing_conjugate_column_is_reported():
+    # S[g1][g1] = zeta_3^2 negated: column g1 becomes (1, -zeta_3^2, zeta_3),
+    # and k = 5, the first unit mod 36 with zeta_3 -> zeta_3^2, sends it to
+    # (1, -zeta_3, zeta_3^2), which is no column
+    c3 = pointed_c3()
+    S = [list(row) for row in c3.S]
+    S[1][1] = -S[1][1]
+    md = ModularDatum(c3.labels, S, c3.T)
+    assert galois_permutation(md, 1).mapping == (0, 1, 2)
+    msg = "no object realizes the conjugate of column g1 under k = 5"
+    with pytest.raises(NotModularError) as err:
+        galois_permutation(md, 5)
+    assert str(err.value) == msg
+    report = verify_galois_identities(md)
+    assert [c.name for c in report.checks] == ["permutation-exists"]
+    assert report.checks[0].witness == f"k = 5: {msg}"
+    with pytest.raises(NotModularError) as err:
+        orbit(md, "g1")
+    assert str(err.value) == msg
+
+
+def test_dimension_identity_witness_matches_every_unit_sweep():
+    # S = [[1, a], [a, N(a)]] has Galois-closed ratio columns for quadratic a,
+    # but the dimension identity at X = 1 needs N(a)^2 = 1; a = sqrt 2 breaks it
+    r2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+    md = ModularDatum(("1", "x"), [[1, r2], [r2, -2]], [RootOfUnity.one()] * 2)
+    D, d = global_dim(md), dims(md)
+    want = next(
+        f"dimension identity fails at k = {k}, X = {md.labels[x]}"
+        for k in units_mod(working_conductor(md))
+        for x in range(md.rank)
+        if d[galois_permutation(md, k).index(x)] ** 2
+        != D / D.galois(k) * (d[x] ** 2).galois(k)
+    )
+    assert want == "dimension identity fails at k = 5, X = 1"
+    checks = {c.name: c for c in verify_galois_identities(md).checks}
+    assert checks["permutation-exists"].passed and checks["homomorphism"].passed
+    assert checks["dim-identity"].witness == want
+
+
+def test_rank_36_all_units_sweep():
+    md = deligne_product(deligne_product(ising(1, 1), fibonacci(1)), so5_level9(1))
+    assert md.rank == 36 and working_conductor(md) == 8640
+    t0 = time.perf_counter()
+    report = verify_galois_identities(md)
+    seconds = time.perf_counter() - t0
+    assert report.ok, report.failures
+    assert seconds < 30, seconds
