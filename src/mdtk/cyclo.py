@@ -5,6 +5,10 @@ rational coefficients, reduced modulo the n-th cyclotomic polynomial.
 Internally a Cyc keeps one common positive denominator and an integer
 numerator vector; the public `coeffs` view is a tuple of Fractions.
 
+Every rewrite of a sum of powers of zeta_n on the power basis goes through
+one helper, `_reduced`, which looks each power up in `_power_basis(n)`:
+zeta_n^e for 0 <= e < n, kept as the nonzero (index, coefficient) pairs.
+
 All arithmetic is exact.  Floating point enters only through `Cyc.embed`,
 which returns a certified complex interval (midpoint plus radius) used for
 sign decisions; every sign decision first runs an exact zero test, so the
@@ -165,25 +169,23 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_basis(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is x^j reduced mod Phi_n on the power basis (phi(n) integers).
+def _power_basis(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e is zeta_n^e on the power basis, as the (index, coefficient)
+    pairs of its nonzero entries in increasing index order.
 
     Since Phi_n divides x^n - 1, exponents only matter mod n and n rows
-    suffice for every reduction this module performs.
+    suffice.  Rows below phi(n) are basis vectors; row e + 1 is x times row
+    e, with a carry c into x^phi(n) replaced by -c * (Phi_n - x^phi(n)).
     """
     phi = euler_phi(n)
-    Phi = cyclotomic_poly(n)
-    rows = []
-    row = [0] * phi
-    row[0] = 1
-    for _ in range(n):
-        rows.append(tuple(row))
-        carry = row[phi - 1]
-        row = [0] + row[: phi - 1]
-        if carry:
-            for i in range(phi):
-                if Phi[i]:
-                    row[i] -= carry * Phi[i]
+    low = [(i, c) for i, c in enumerate(cyclotomic_poly(n)[:phi]) if c]
+    rows = [((e, 1),) for e in range(phi)]
+    for _ in range(phi, n):
+        nxt = {i + 1: v for i, v in rows[-1]}
+        carry = nxt.pop(phi, 0)
+        for i, c in low:
+            nxt[i] = nxt.get(i, 0) - carry * c
+        rows.append(tuple(sorted((i, v) for i, v in nxt.items() if v)))
     return tuple(rows)
 
 
@@ -223,6 +225,24 @@ def _normalize(n: int, den: int, num: list[int]) -> "Cyc":
         den //= g
         num = [v // g for v in num]
     return Cyc(n, den, tuple(num))
+
+
+def _reduced(n: int, den: int, acc: list[int], terms: Iterable[tuple[int, int]]) -> "Cyc":
+    """(acc + sum of v * zeta_n^e over the (e, v) in terms) / den, where acc
+    holds power-basis numerators at conductor n and is updated in place."""
+    rows = _power_basis(n)
+    for e, v in terms:
+        if v:
+            for i, c in rows[e % n]:
+                acc[i] += v * c
+    return _normalize(n, den, acc)
+
+
+def _over_lcm(n: int, nums: list[int], dens: list[int]) -> "Cyc":
+    """The sum of nums[i] / dens[i] * zeta_n^i, dens positive, written over
+    the lcm of dens."""
+    den = math.lcm(*dens)
+    return _normalize(n, den, [v * (den // d) for v, d in zip(nums, dens)])
 
 
 class Cyc:
@@ -277,30 +297,18 @@ class Cyc:
             return self
         if m % self.n:
             raise ValueError(f"cannot lift conductor {self.n} to {m}")
-        rows = _power_basis(m)
         step = m // self.n
-        acc = [0] * euler_phi(m)
-        for i, v in enumerate(self.num):
-            if v:
-                row = rows[(i * step) % m]
-                for idx, rv in enumerate(row):
-                    if rv:
-                        acc[idx] += v * rv
-        return _normalize(m, self.den, acc)
+        return _reduced(m, self.den, [0] * euler_phi(m), zip(range(0, m, step), self.num))
 
     def _express_at(self, d: int):
         # coefficients over the power basis of Q(zeta_d) inside Q(zeta_n),
         # or None when the value does not lie in the subfield
-        rows = _power_basis(self.n)
-        step = self.n // d
-        cols = [rows[(j * step) % self.n] for j in range(euler_phi(d))]
+        n, phi, step = self.n, len(self.num), self.n // d
+        cols = [_reduced(n, 1, [0] * phi, ((j * step, 1),)).num for j in range(euler_phi(d))]
         sol = _solve_columns(cols, self.num)
         if sol is None:
             return None
-        den = 1
-        for f in sol:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return _normalize(d, den * self.den, [int(f * den) for f in sol])
+        return _over_lcm(d, [f.numerator for f in sol], [f.denominator * self.den for f in sol])
 
     def reduce_conductor(self) -> "Cyc":
         """Rewrite at the smallest conductor containing the value."""
@@ -378,17 +386,7 @@ class Cyc:
                     if w:
                         raw[i + j] += v * w
         phi = len(la)
-        acc = list(raw[:phi])
-        if len(raw) > phi:
-            rows = _power_basis(a.n)
-            for j in range(phi, len(raw)):
-                c = raw[j]
-                if c:
-                    row = rows[j % a.n]
-                    for idx, rv in enumerate(row):
-                        if rv:
-                            acc[idx] += c * rv
-        return _normalize(a.n, a.den * b.den, acc)
+        return _reduced(a.n, a.den * b.den, raw[:phi], enumerate(raw[phi:], phi))
 
     __rmul__ = __mul__
 
@@ -414,10 +412,7 @@ class Cyc:
         inv = [t / c for t in t1]
         phi = euler_phi(self.n)
         inv = (inv + [Fraction(0)] * phi)[:phi]
-        den = 1
-        for x in inv:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        return _normalize(self.n, den, [int(x * den) for x in inv])
+        return _over_lcm(self.n, [x.numerator for x in inv], [x.denominator for x in inv])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -469,15 +464,7 @@ class Cyc:
             raise ValueError(f"{k} is not a unit mod {n}")
         if n <= 2 or k == 1:
             return self
-        rows = _power_basis(n)
-        acc = [0] * len(self.num)
-        for i, v in enumerate(self.num):
-            if v:
-                row = rows[(i * k) % n]
-                for idx, rv in enumerate(row):
-                    if rv:
-                        acc[idx] += v * rv
-        return _normalize(n, self.den, acc)
+        return _reduced(n, self.den, [0] * len(self.num), zip(range(0, k * n, k), self.num))
 
     def conj(self) -> "Cyc":
         """Complex conjugation, the automorphism k = -1."""
@@ -539,20 +526,9 @@ class Cyc:
         return all(c.denominator == 1 for c in self.minimal_polynomial())
 
     def is_root_of_unity(self):
-        """Multiplicative order when self is a root of unity, else None.
-
-        Torsion in Q(zeta_n)* is generated by -zeta_n, so it suffices to
-        test exponent lcm(2, n) and then minimize over its divisors.
-        """
-        if self.is_zero():
-            return None
-        L = self.n if self.n % 2 == 0 else 2 * self.n
-        if self**L != 1:
-            return None
-        for d in divisors(L):
-            if self**d == 1:
-                return d
-        raise AssertionError("unreachable")
+        """Multiplicative order when self is a root of unity, else None."""
+        r = _as_root_of_unity(self)
+        return None if r is None else r.order
 
     # -- analytic layer
 
@@ -628,10 +604,11 @@ class Cyc:
         return f"Cyc({self})"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": [[str(f.numerator), str(f.denominator)] for f in self.coeffs],
-        }
+        c = []
+        for v in self.num:
+            g = math.gcd(v, self.den)
+            c.append([str(v // g), str(self.den // g)])
+        return {"n": self.n, "c": c}
 
     @staticmethod
     def from_json(obj: dict) -> "Cyc":
@@ -645,16 +622,17 @@ class Cyc:
             raise ValueError(
                 f"coefficient length {len(c)} does not match phi({n}) = {euler_phi(n)}"
             )
-        coeffs = []
+        nums, dens = [], []
         for pair in c:
             num, den = pair
-            if int(den) == 0:
+            den = int(den)
+            if den == 0:
                 raise ValueError("zero denominator in a coefficient")
-            coeffs.append(Fraction(int(num), int(den)))
-        den = 1
-        for f in coeffs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return _normalize(n, den, [int(f * den) for f in coeffs])
+            num = int(num)
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+        return _over_lcm(n, nums, dens)
 
 
 def rational(q) -> Cyc:
@@ -666,9 +644,26 @@ def root_of_unity(n: int, k: int = 1) -> Cyc:
     """zeta_n^k as an exact element, stored at the reduced conductor
     n / gcd(n, k)."""
     r = RootOfUnity.make(n, k)
-    if r.order == 1:
-        return Cyc.from_rational(1)
-    return Cyc(r.order, 1, _power_basis(r.order)[r.exponent])
+    return _reduced(r.order, 1, [0] * euler_phi(r.order), ((r.exponent, 1),))
+
+
+def _as_root_of_unity(x: Cyc) -> "RootOfUnity | None":
+    """x as a RootOfUnity, or None when it is not one.
+
+    The roots of unity in Q(zeta_n) are the +-zeta_n^e, and the power basis
+    form is unique, so x is one exactly when its denominator is 1 and its
+    nonzero entries are a row of `_power_basis(n)` or the negation of one.
+    """
+    if x.den != 1:
+        return None
+    pairs = tuple((i, v) for i, v in enumerate(x.num) if v)
+    negated = tuple((i, -v) for i, v in pairs)
+    for e, row in enumerate(_power_basis(x.n)):
+        if row == pairs:
+            return RootOfUnity.make(x.n, e)
+        if row == negated:
+            return RootOfUnity.make(2 * x.n, 2 * e + x.n)
+    return None
 
 
 # ---------------------------------------------------------------------------

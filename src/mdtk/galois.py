@@ -314,15 +314,14 @@ def verify_galois_identities(
     checks.append(Check("homomorphism", hom_bad is None, hom_bad or ""))
 
     D = global_dim(md)
-    d = dims(md)
+    d2 = [dx * dx for dx in dims(md)]
     dim_bad = None
     for k in _first_per_class(units, _ratio_columns(md).conductor):
         perm = galois_permutation(md, k)
-        factor = D * D.galois(k).inverse()
+        Dk = D.galois(k)
         for x in range(r):
-            lhs = d[perm.index(x)] * d[perm.index(x)]
-            rhs = factor * (d[x] * d[x]).galois(k)
-            if lhs != rhs:
+            # D != 0, so this is d[sigma-hat X]^2 = (D / sigma(D)) sigma(d_X^2)
+            if d2[perm.index(x)] * Dk != D * d2[x].galois(k):
                 dim_bad = f"dimension identity fails at k = {k}, X = {md.labels[x]}"
                 break
         if dim_bad:

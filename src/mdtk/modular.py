@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 
-from .cyclo import Cyc, RootOfUnity, euler_phi, rational
+from .cyclo import Cyc, RootOfUnity, _as_root_of_unity, euler_phi, rational
 
 
 __all__ = [
@@ -238,14 +238,10 @@ def anomaly(md: ModularDatum) -> RootOfUnity:
     """The root of unity gauss_sum(+1)^2 / global_dim."""
     x = gauss_sum(md, 1)
     x = x * x / global_dim(md)
-    order = x.is_root_of_unity()
-    if order is None:
+    root = _as_root_of_unity(x)
+    if root is None:
         raise NotModularError("squared Gauss sum over the global dimension is not a root of unity")
-    for k in range(order):
-        if math.gcd(k, order) == 1 or order == 1:
-            if x == RootOfUnity.make(order, k).to_cyc():
-                return RootOfUnity.make(order, k)
-    raise AssertionError("unreachable")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 embeddings, and the root-of-unity helper type."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from mdtk.catalog_cli import from_dict
 from mdtk.cyclo import (
     Cyc,
     RootOfUnity,
+    _as_root_of_unity,
+    _power_basis,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -18,6 +22,7 @@ from mdtk.cyclo import (
     unit_group_generators,
     units_mod,
 )
+from mdtk.modular import DataFormatError
 
 
 def zeta(n, k=1):
@@ -245,6 +250,16 @@ def test_is_root_of_unity():
     assert rational(2).is_root_of_unity() is None
 
 
+def test_root_of_unity_read_off_negated_rows():
+    # -zeta_9^2 = zeta_18^13 is the negation of a row at odd conductor 9
+    assert (-zeta(9, 2)).is_root_of_unity() == 18
+    assert _as_root_of_unity(-zeta(9, 2)) == RootOfUnity.make(18, 13)
+    assert (-zeta(8)).is_root_of_unity() == 8
+    assert _as_root_of_unity(-zeta(8)) == RootOfUnity.make(8, 5)
+    assert (rational(2) * zeta(5)).is_root_of_unity() is None
+    assert _as_root_of_unity(rational(2) * zeta(5)) is None
+
+
 # --------------------------------------------------- embedding and sign
 
 
@@ -427,6 +442,42 @@ def test_cyc_from_json_validates():
         Cyc.from_json({"n": 8, "c": [["1", "1"]]})  # wrong length
 
 
+def test_cyc_to_json_writes_reduced_fractions():
+    rng = random.Random(4471)
+    for n in (1, 5, 12, 27):
+        for _ in range(5):
+            den = rng.choice((1, 2, 6, 35))
+            num = [rng.randrange(-40, 41) for _ in range(euler_phi(n))]
+            a = Cyc.from_json({"n": n, "c": [[str(v), str(den)] for v in num]})
+            want = [Fraction(v, den) for v in num]
+            assert a.to_json() == {
+                "n": n,
+                "c": [[str(f.numerator), str(f.denominator)] for f in want],
+            }
+
+
+def test_cyc_from_json_reduces_unnormalized_pairs():
+    pairs = [["2", "4"], ["3", "-6"], ["-3", "-6"], [2, 4]]
+    a = Cyc.from_json({"n": 5, "c": pairs})
+    assert a.coeffs == tuple(Fraction(int(p), int(q)) for p, q in pairs)
+    assert (a.den, a.num) == (2, (1, -1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["1", "2", "3"], "too many values to unpack (expected 2)"),
+        (["1.5", "1"], "invalid literal for int() with base 10: '1.5'"),
+        (["1", "0"], "zero denominator in a coefficient"),
+    ],
+)
+def test_from_dict_rejects_bad_coefficient_pairs(pair, message):
+    obj = {"labels": ["1"], "S": [[{"n": 1, "c": [pair]}]], "T": [{"m": 1, "k": 0}]}
+    with pytest.raises(DataFormatError) as err:
+        from_dict(obj)
+    assert str(err.value) == f"bad matrix entry: {message}"
+
+
 # ------------------------------------------------------- random sweeps
 
 
@@ -484,3 +535,69 @@ def test_inverse_random():
             continue
         assert a * a.inverse() == rational(1)
         done += 1
+
+
+# ------------------------------------- reduction against long division
+
+
+def reference_reduce(n, terms):
+    """The coefficients of sum v * zeta_n^e over the power basis, by
+    folding exponents mod n and long division by Phi_n."""
+    poly = [0] * n
+    for e, v in terms:
+        poly[e % n] += v
+    phi_poly = cyclotomic_poly(n)
+    deg = len(phi_poly) - 1
+    for i in range(n - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            for j, p in enumerate(phi_poly):
+                poly[i - deg + j] -= c * p
+    return tuple(poly[:deg])
+
+
+REDUCTION_CONDUCTORS = (1, 2, 5, 8, 9, 12, 27, 45, 72, 105, 360)
+
+
+def dense_cyc(rng, n):
+    return Cyc(n, 1, tuple(rng.randrange(-9, 10) for _ in range(euler_phi(n))))
+
+
+@pytest.mark.parametrize("n", REDUCTION_CONDUCTORS)
+def test_reduction_matches_long_division(n):
+    rng = random.Random(31000 + n)
+    for _ in range(3):
+        a, b = dense_cyc(rng, n), dense_cyc(rng, n)
+        terms = [(i + j, v * w) for i, v in enumerate(a.num) for j, w in enumerate(b.num)]
+        prod = a * b
+        assert (prod.conductor, prod.coeffs) == (n, reference_reduce(n, terms))
+
+        m = n * rng.choice((2, 3, 4))
+        lifted = a.lift(m)
+        terms = [(i * (m // n), v) for i, v in enumerate(a.num)]
+        assert (lifted.conductor, lifted.coeffs) == (m, reference_reduce(m, terms))
+
+        k = rng.choice(units_mod(n))
+        image = a.galois(k)
+        terms = [(i * k, v) for i, v in enumerate(a.num)]
+        assert (image.conductor, image.coeffs) == (n, reference_reduce(n, terms))
+    for e in range(0, n, max(1, n // 40)):
+        r = RootOfUnity.make(n, e)
+        z = root_of_unity(n, e)
+        assert (z.conductor, z.coeffs) == (
+            r.order,
+            reference_reduce(r.order, [(r.exponent, 1)]),
+        )
+
+
+def test_power_basis_table_stays_small():
+    # a dense table at n = 2880 holds 2880 * 768 integers, about 17 MB
+    n = 2880
+    cyclotomic_poly(n)
+    tracemalloc.start()
+    try:
+        _power_basis.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
