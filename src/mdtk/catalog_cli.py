@@ -122,8 +122,9 @@ def _check_conductor_cap(conductors) -> None:
 
     Every conductor a computation on the datum reaches, the working
     conductor lcm(12 FSexp, S conductors) included, divides 12 times the
-    lcm of the S conductors and T orders.  Building Phi_N takes time growing
-    with the square of N, so one large T order would otherwise stall a load.
+    lcm of the S conductors and T orders.  The reduction table at N has N
+    rows and the Galois sweeps visit every unit mod N, so one large T order
+    would otherwise stall a load.
     Values that are not nonzero integers are left to the entry checks.
     """
     N = 1

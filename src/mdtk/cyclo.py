@@ -8,6 +8,9 @@ numerator vector; the public `coeffs` view is a tuple of Fractions.
 Every rewrite of a sum of powers of zeta_n on the power basis goes through
 one helper, `_reduced`, which looks each power up in `_power_basis(n)`:
 zeta_n^e for 0 <= e < n, kept as the nonzero (index, coefficient) pairs.
+Inversion and conductor descent are built on it and on `Cyc.galois`: an
+inverse is a product of Galois images over a rational norm, and a value
+drops to a subfield by a stride of the power basis or by a relative trace.
 
 All arithmetic is exact.  Floating point enters only through `Cyc.embed`,
 which returns a certified complex interval (midpoint plus radius) used for
@@ -158,14 +161,19 @@ def _polydiv_exact(a: list[int], b: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low degree first, computed by dividing x^n - 1
-    by the cyclotomic polynomials of the proper divisors of n."""
+    """Coefficients of Phi_n, low degree first.
+
+    For a prime p dividing n, Phi_n(x) = Phi_{n/p}(x^p) when p^2 divides n,
+    and Phi_{n/p}(x^p) / Phi_{n/p}(x) otherwise.  Repeated primes are peeled
+    first, so the exact division only ever happens at the squarefree part.
+    """
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n)[:-1]:
-        poly = _polydiv_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
+    p, e = max(_factorize(n), key=lambda pe: pe[1])
+    low = cyclotomic_poly(n // p)
+    poly = [0] * ((len(low) - 1) * p + 1)
+    poly[::p] = low
+    return tuple(poly) if e > 1 else tuple(_polydiv_exact(poly, low))
 
 
 @lru_cache(maxsize=None)
@@ -238,13 +246,6 @@ def _reduced(n: int, den: int, acc: list[int], terms: Iterable[tuple[int, int]])
     return _normalize(n, den, acc)
 
 
-def _over_lcm(n: int, nums: list[int], dens: list[int]) -> "Cyc":
-    """The sum of nums[i] / dens[i] * zeta_n^i, dens positive, written over
-    the lcm of dens."""
-    den = math.lcm(*dens)
-    return _normalize(n, den, [v * (den // d) for v, d in zip(nums, dens)])
-
-
 class Cyc:
     """An element of Q(zeta_n) in reduced power-basis form.
 
@@ -300,29 +301,36 @@ class Cyc:
         step = m // self.n
         return _reduced(m, self.den, [0] * euler_phi(m), zip(range(0, m, step), self.num))
 
-    def _express_at(self, d: int):
-        # coefficients over the power basis of Q(zeta_d) inside Q(zeta_n),
-        # or None when the value does not lie in the subfield
-        n, phi, step = self.n, len(self.num), self.n // d
-        cols = [_reduced(n, 1, [0] * phi, ((j * step, 1),)).num for j in range(euler_phi(d))]
-        sol = _solve_columns(cols, self.num)
-        if sol is None:
-            return None
-        return _over_lcm(d, [f.numerator for f in sol], [f.denominator * self.den for f in sol])
+    def _below(self, p: int) -> "Cyc | None":
+        """The value at conductor d = n/p, p a prime dividing n, or None when
+        it is not in Q(zeta_d).  If p | d, Q(zeta_d) has the stride-p
+        sub-basis zeta_d^j = zeta_n^(pj).  Otherwise the candidate is the
+        trace to Q(zeta_d) over p - 1: with zeta_n = zeta_d^a zeta_p^b and
+        ap = 1 mod d, zeta_n^i traces to (p - 1) zeta_d^(ai) when p | i and to
+        -zeta_d^(ai) when not.  A candidate is kept only if it lifts back."""
+        n, d = self.n, self.n // p
+        if d % p == 0:
+            low = Cyc(d, self.den, self.num[::p])
+        else:
+            a = pow(p, -1, d)
+            terms = ((a * i, v * (p - 1 if i % p == 0 else -1)) for i, v in enumerate(self.num))
+            low = _reduced(d, self.den * (p - 1), [0] * euler_phi(d), terms)
+        up = low.lift(n)
+        return low if (up.den, up.num) == (self.den, self.num) else None
 
     def reduce_conductor(self) -> "Cyc":
-        """Rewrite at the smallest conductor containing the value."""
+        """Rewrite at the smallest conductor containing the value.  The d | n
+        with the value in Q(zeta_d) are closed under gcd, so the least is
+        reached by dropping primes one at a time, each as often as it goes."""
         if self.n == 1:
             return self
         if self.is_rational():
             return Cyc(1, self.den, (self.num[0],))
-        for d in divisors(self.n)[:-1]:
-            if d == 1:
-                continue
-            low = self._express_at(d)
-            if low is not None:
-                return low
-        return self
+        x = self
+        for p, _ in _factorize(self.n):
+            while x.n % p == 0 and (low := x._below(p)) is not None:
+                x = low
+        return x
 
     # -- ring operations
 
@@ -391,28 +399,27 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        """1 / self by Galois norms.
+
+        For each generator g of (Z/n)* in turn, y is multiplied by its other
+        images g(y), g^2(y), ... until the orbit returns to y, which leaves a
+        value fixed by g.  The generators commute, so after the last one y is
+        fixed by every automorphism: a rational q, nonzero as no image of a
+        nonzero value is 0.  With c the product of the images, 1/self = c/q.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            q = 1 / Fraction(self.num[0], self.den)
-            return Cyc.from_rational(q)
-        # extended gcd against Phi_n over Q; Phi_n is irreducible so any
-        # nonzero element of degree < phi(n) is invertible
-        f = [Fraction(v, self.den) for v in self.num]
-        g = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = g, _ftrim(f)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _fdivmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _fsub(t0, _fmul(q, t1))
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        c = r1[0]
-        inv = [t / c for t in t1]
-        phi = euler_phi(self.n)
-        inv = (inv + [Fraction(0)] * phi)[:phi]
-        return _over_lcm(self.n, [x.numerator for x in inv], [x.denominator for x in inv])
+            return Cyc.from_rational(Fraction(self.den, self.num[0]))
+        y, cofactor = self, Cyc.from_rational(1)
+        for g in unit_group_generators(self.n):
+            images = Cyc.from_rational(1)
+            image = y.galois(g)
+            while image != y:
+                images = images * image
+                image = image.galois(g)
+            y, cofactor = y * images, cofactor * images
+        return cofactor * (1 / y.as_fraction())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -604,10 +611,14 @@ class Cyc:
         return f"Cyc({self})"
 
     def to_json(self) -> dict:
+        """{"n": n, "c": [[num, den], ...]}, each coefficient a reduced
+        fraction of decimal strings.  The zero coefficients share one
+        ["0", "1"] list, so the result is read-only."""
+        zero = ["0", "1"]
         c = []
         for v in self.num:
             g = math.gcd(v, self.den)
-            c.append([str(v // g), str(self.den // g)])
+            c.append([str(v // g), str(self.den // g)] if v else zero)
         return {"n": self.n, "c": c}
 
     @staticmethod
@@ -615,7 +626,7 @@ class Cyc:
         if not isinstance(obj, dict) or "n" not in obj or "c" not in obj:
             raise ValueError("field element must be {'n': ..., 'c': [[num, den], ...]}")
         n = obj["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"bad conductor {n!r}")
         c = obj["c"]
         if len(c) != euler_phi(n):
@@ -625,14 +636,22 @@ class Cyc:
         nums, dens = [], []
         for pair in c:
             num, den = pair
-            den = int(den)
+            den = _json_int(den)
             if den == 0:
                 raise ValueError("zero denominator in a coefficient")
-            num = int(num)
+            num = _json_int(num)
             g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
             nums.append(num // g)
             dens.append(den // g)
-        return _over_lcm(n, nums, dens)
+        den = math.lcm(*dens)
+        return _normalize(n, den, [v * (den // d) for v, d in zip(nums, dens)])
+
+
+def _json_int(v) -> int:
+    # type(), not isinstance: JSON true and false load as bools, which are ints
+    if type(v) is not int and not isinstance(v, str):
+        raise ValueError(f"coefficient {v!r} is not an integer")
+    return int(v)
 
 
 def rational(q) -> Cyc:
@@ -734,79 +753,6 @@ class RootOfUnity:
         if not isinstance(obj, dict) or "m" not in obj or "k" not in obj:
             raise ValueError("root of unity must be {'m': ..., 'k': ...}")
         m, k = obj["m"], obj["k"]
-        if not isinstance(m, int) or not isinstance(k, int):
+        if type(m) is not int or type(k) is not int:
             raise ValueError("root of unity fields must be integers")
         return RootOfUnity.make(m, k)
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra helpers
-
-
-def _ftrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _fsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _ftrim(out)
-
-
-def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, v in enumerate(a):
-        if v:
-            for j, w in enumerate(b):
-                if w:
-                    out[i + j] += v * w
-    return _ftrim(out)
-
-
-def _fdivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] * inv
-        if c:
-            q[i - len(b) + 1] = c
-            for j, w in enumerate(b):
-                a[i - len(b) + 1 + j] -= c * w
-    return _ftrim(q), _ftrim(a)
-
-
-def _solve_columns(cols: list[tuple[int, ...]], rhs: tuple[int, ...]):
-    """Solve sum_j x_j cols[j] = rhs exactly; None when inconsistent."""
-    rows = len(rhs)
-    ncols = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    return sol

@@ -139,6 +139,19 @@ def test_cli_hostile_conductor_is_one_error_line(tmp_path, capsys):
         assert err.startswith("error: ") and "above the limit" in err and err.count("\n") == 1
 
 
+def test_cli_non_integer_json_number_is_one_error_line(tmp_path, capsys):
+    one = {"n": 1, "c": [["1", "1"]]}
+    for entry, t in (({"n": 1, "c": [[1.5, 1]]}, {"m": 1, "k": 0}),
+                     ({"n": 1, "c": [[True, 2.9]]}, {"m": 1, "k": 0}),
+                     ({"n": True, "c": [["1", "1"]]}, {"m": 1, "k": 0}),
+                     (one, {"m": True, "k": False})):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"labels": ["1"], "S": [[entry]], "T": [t]}))
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad matrix entry: ") and err.count("\n") == 1, err
+
+
 def negative_dim_dict():
     """Rank 3 with S = [[1, i, i], [i, 1, 0], [i, 0, 1]] and T = (1, z4^3, z4):
     D = 1 + i^2 + i^2 = -1, tau+ = 1 - z4 - z4^3 = 1, anomaly -1."""

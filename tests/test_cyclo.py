@@ -1,13 +1,19 @@
 """Exact cyclotomic arithmetic: field operations, Galois action, traces,
 embeddings, and the root-of-unity helper type."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from mdtk.catalog_cli import from_dict
+import mdtk
+from mdtk.catalog_cli import from_dict, to_dict
+from mdtk.construct import MetricGroup, pointed
 from mdtk.cyclo import (
     Cyc,
     RootOfUnity,
@@ -354,6 +360,27 @@ def test_cyclotomic_poly():
     assert cyclotomic_poly(9) == (1, 0, 0, 1, 0, 0, 1)
 
 
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in (*range(1, 301), 8640, 9990):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in want), n
+
+
+def test_cyclotomic_poly_8640_is_fast_in_a_fresh_interpreter():
+    # rules out dividing x^8640 - 1 by every Phi_d, d | 8640: about a second
+    code = (
+        "import time; from mdtk.cyclo import cyclotomic_poly; "
+        "t = time.perf_counter(); cyclotomic_poly(8640); "
+        "print(time.perf_counter() - t)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mdtk.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert float(proc.stdout) < 0.1, proc.stdout
+
+
 def test_real_subfield_degree():
     assert real_subfield_degree(1) == 1
     assert real_subfield_degree(2) == 1
@@ -478,6 +505,36 @@ def test_from_dict_rejects_bad_coefficient_pairs(pair, message):
     assert str(err.value) == f"bad matrix entry: {message}"
 
 
+@pytest.mark.parametrize(
+    "entry, t, message",
+    [
+        ({"n": 1, "c": [[1.5, 1]]}, {"m": 1, "k": 0}, "coefficient 1.5 is not an integer"),
+        ({"n": 1, "c": [[True, 2.9]]}, {"m": 1, "k": 0}, "coefficient 2.9 is not an integer"),
+        ({"n": 1, "c": [[1, False]]}, {"m": 1, "k": 0}, "coefficient False is not an integer"),
+        ({"n": True, "c": [["1", "1"]]}, {"m": 1, "k": 0}, "bad conductor True"),
+        ({"n": 1, "c": [["1", "1"]]}, {"m": True, "k": False},
+         "root of unity fields must be integers"),
+    ],
+)
+def test_from_dict_rejects_non_integer_json_numbers(entry, t, message):
+    obj = {"labels": ["1"], "S": [[entry]], "T": [t]}
+    with pytest.raises(DataFormatError) as err:
+        from_dict(obj)
+    assert str(err.value) == f"bad matrix entry: {message}"
+
+
+def test_to_json_shares_zero_coefficients():
+    md = pointed(MetricGroup.generator_form((81,), (1,)))
+    tracemalloc.start()
+    try:
+        to_dict(md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rules out one list and two strings per zero coefficient: about 38 MB
+    assert peak < 10_000_000, peak
+
+
 # ------------------------------------------------------- random sweeps
 
 
@@ -535,6 +592,15 @@ def test_inverse_random():
             continue
         assert a * a.inverse() == rational(1)
         done += 1
+
+
+def test_inverse_of_dense_element_at_720_is_fast():
+    rng = random.Random(720)
+    a = Cyc(720, 1, tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(euler_phi(720))))
+    start = time.perf_counter()
+    inv = a.inverse()
+    assert time.perf_counter() - start < 1.0
+    assert a * inv == rational(1)
 
 
 # ------------------------------------- reduction against long division

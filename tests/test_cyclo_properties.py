@@ -1,0 +1,92 @@
+"""Property tests of Cyc.inverse, Cyc.reduce_conductor and the JSON form
+against oracles that do not use the code under test: sympy's arithmetic
+modulo Phi_n, and the Galois description of the subfields of Q(zeta_n)."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdtk.cyclo import Cyc, divisors, euler_phi, rational, units_mod
+
+CONDUCTORS = (1, 2, 6, 8, 9, 10, 12, 27, 30, 45, 72, 105, 360)
+X = sympy.Symbol("x")
+
+# derandomized, so that every run draws the same examples
+examples = settings(derandomize=True, max_examples=8, deadline=None)
+
+
+@st.composite
+def elements(draw, n):
+    """A value at conductor n with coefficients in -9..9 over a common
+    denominator; about half the coefficients are 0."""
+    den = draw(st.integers(1, 12))
+    coeff = st.one_of(st.just(0), st.integers(-9, 9))
+    nums = draw(st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)))
+    return Cyc.from_json({"n": n, "c": [[v, den] for v in nums]})
+
+
+def poly(nums) -> "sympy.Poly":
+    return sympy.Poly(list(nums)[::-1], X, domain="QQ")
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@examples
+@given(data=st.data())
+def test_inverse_matches_sympy(n, data):
+    x = data.draw(elements(n))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            x.inverse()
+        return
+    phi_n = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+    f = poly(x.num)
+    inv = poly(x.inverse().lift(n).coeffs)
+    # x = f / den, so 1 / x is den times the inverse of f mod Phi_n, the one
+    # polynomial h of degree < phi(n) with f h = den mod Phi_n
+    assert (f * inv).rem(phi_n) == sympy.Poly(x.den, X, domain="QQ")
+    if euler_phi(n) <= 48:
+        # beyond, sympy's Euclid over QQ takes seconds per element
+        assert sympy.invert(f, phi_n) * x.den == inv
+    assert x * x.inverse() == rational(1)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_inverse_of_zero_raises(n):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        Cyc.from_json({"n": n, "c": [[0, 1]] * euler_phi(n)}).inverse()
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@settings(examples, max_examples=25)
+@given(data=st.data())
+def test_reduce_conductor_is_the_galois_conductor(n, data):
+    # a value of Q(zeta_d) for some d | n, sometimes plus a Galois image
+    d = data.draw(st.sampled_from(divisors(n)))
+    x = data.draw(elements(d)).lift(n)
+    if data.draw(st.booleans()):
+        x = x + x.galois(data.draw(st.sampled_from(units_mod(n))))
+    # Q(zeta_d) is the field fixed by the units k = 1 mod d
+    least = next(
+        d for d in divisors(n)
+        if all(x.galois(k) == x for k in units_mod(n) if k % d == 1 % d)
+    )
+    low = x.reduce_conductor()
+    assert low.conductor == least
+    up = low.lift(n)
+    assert (up.den, up.num) == (x.den, x.num)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@examples
+@given(data=st.data())
+def test_json_round_trip(n, data):
+    x = data.draw(elements(n))
+    again = Cyc.from_json(x.to_json())
+    assert (again.n, again.den, again.num) == (x.n, x.den, x.num)
+    assert again.coeffs == tuple(Fraction(v, x.den) for v in x.num)
