@@ -4,21 +4,22 @@ The central statement: when the T order is a power of an odd prime it is
 at most the integer norm of the global dimension, and when it is a power
 of two it is at most four times that norm.  `bound_check` evaluates this
 and flags the extremal cases; `extremal_classify` matches the fusion ring
-of an extremal datum against the short list of shapes that can occur.
+of an extremal datum against the short list of shapes that can occur, each
+the Verlinde fusion ring of a datum the library builds.
 `lemma_orbit_bound` and `siegel_check` expose the two ingredients the
 bound rests on, per object: a Galois orbit sum against a trace measure,
-and the trace lower bound for totally positive algebraic integers.
+claimed on data whose dimensions are all integers, and the trace lower
+bound for totally positive algebraic integers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import Cyc, rational, units_mod
-from .construct import ising
+from .cyclo import Cyc, _factorize, rational, units_mod
+from .construct import MetricGroup, deligne_product, fibonacci, ising, pointed
 from .galois import orbit_t
 from .modular import (
     FusionTensor,
@@ -49,14 +50,8 @@ def prime_power(n: int) -> int | None:
     """The prime p when n = p^a with a >= 1, else None."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-    return None
+    factors = _factorize(n)
+    return factors[0][0] if len(factors) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -94,38 +89,29 @@ class BoundVerdict:
         return f"[{status}] {self.name}: FSexp = {self.fsexp}, Ndim = {self.ndim}; {shape}{extra}"
 
 
-def _verdict(fs: int, nd: int) -> tuple[int | None, bool, int | None]:
-    """The prime of the T order fs (None when fs is not a prime power),
-    whether fs <= nd (odd p) or fs <= 4 nd (p = 2) holds, and the extremal
-    tier: the t in (1, 2, 4) for p = 2, or 1 for odd p, with fs = t nd."""
+def _verdict(name: str, fs: int, nd: int) -> BoundVerdict:
+    """The unclassified verdict for T order fs and norm nd: the prime of fs
+    (None when fs is not a prime power), whether fs <= nd (odd p) or
+    fs <= 4 nd (p = 2) holds, and the extremal tier: the t in (1, 2, 4) for
+    p = 2, or 1 for odd p, with fs = t nd."""
     p = prime_power(fs)
     if p is None:
-        return None, True, None
-    if p == 2:
-        return p, fs <= 4 * nd, next((t for t in (1, 2, 4) if fs == t * nd), None)
-    return p, fs <= nd, 1 if fs == nd else None
+        holds, tier = True, None
+    elif p == 2:
+        holds, tier = fs <= 4 * nd, next((t for t in (1, 2, 4) if fs == t * nd), None)
+    else:
+        holds, tier = fs <= nd, 1 if fs == nd else None
+    return BoundVerdict(name=name, fsexp=fs, ndim=nd, prime=p, bound_holds=holds,
+                        extremal=tier is not None, tier=tier)
 
 
 def bound_check(md: ModularDatum, classify: bool = False) -> BoundVerdict:
     """Evaluate the prime power bound FSexp <= Ndim (odd p) or
     FSexp <= 4 Ndim (p = 2) and detect equality tiers."""
-    fs = fs_exponent(md)
-    nd = ndim(md)
-    p, holds, tier = _verdict(fs, nd)
-    extremal = tier is not None
-    cls = None
-    if classify and extremal:
-        cls = extremal_classify(md)
-    return BoundVerdict(
-        name=md.name or "datum",
-        fsexp=fs,
-        ndim=nd,
-        prime=p,
-        bound_holds=holds,
-        extremal=extremal,
-        tier=tier,
-        extremal_class=cls,
-    )
+    v = _verdict(md.name or "datum", fs_exponent(md), ndim(md))
+    if classify and v.extremal:
+        v = replace(v, extremal_class=extremal_classify(md))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +123,12 @@ class LemmaVerdict:
     """Result of the orbit bound for one object: the sum of squared
     dimensions over the squared-Galois suborbit must be at least
     [Q(t[X]) real part : Q] * M(dim X), where M is the mean squared
-    conjugate.  Only stated for data with integer global dimension."""
+    conjugate.
+
+    The bound is claimed only for data whose dimensions are all integers.
+    `applicable` records the weaker fact that the global dimension is a
+    rational integer, so holds=False on other data with integer global
+    dimension, such as the unit of Ising, is not a violation."""
 
     label: str
     applicable: bool
@@ -173,7 +164,11 @@ def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
     """Evaluate the orbit bound at one object.  The degree is read off the
     order of t[X] in the normalized T, t = T * gamma (`normalized_t`).  The
     comparison is exact: the orbit sum is totally real and is compared with
-    the rational bound through a certified sign computation."""
+    the rational bound through a certified sign computation.
+
+    The bound is claimed only when every dimension of md is an integer;
+    see `LemmaVerdict`.  Raises KeyError when md has no object label."""
+    x = md.index(label)
     D = global_dim(md)
     if not (D.is_rational() and D.as_fraction().denominator == 1):
         return LemmaVerdict(
@@ -181,7 +176,6 @@ def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
             applicable=False,
             note="global dimension is not a rational integer",
         )
-    x = md.index(label)
     deg = _square_galois_degree(normalized_t(md)[1][x].order)
     m_val = dims(md)[x].m_measure()
     labels, total = orbit_t(md, label)
@@ -233,59 +227,33 @@ def siegel_check(alpha) -> bool:
 # classification of the extremal fusion rings
 
 
-def _group_fusion(orders: tuple[int, ...]) -> FusionTensor:
-    import itertools
-
-    elems = list(itertools.product(*(range(n) for n in orders)))
-    index = {g: i for i, g in enumerate(elems)}
-    r = len(elems)
-    N = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            s = tuple((a + b) % n for a, b, n in zip(g, h, orders))
-            N[i][j][index[s]] = 1
-    labels = tuple(str(g) for g in elems)
-    return FusionTensor(labels, tuple(tuple(tuple(row) for row in plane) for plane in N))
+def _ising_x_pointed(*orders: int) -> ModularDatum:
+    return deligne_product(
+        ising(1, 1), pointed(MetricGroup.generator_form(orders, (1,) * len(orders)))
+    )
 
 
-def _tensor_fusion(a: FusionTensor, b: FusionTensor) -> FusionTensor:
-    ra, rb = a.rank, b.rank
-    labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
-    N = []
-    for xa in range(ra):
-        for xb in range(rb):
-            plane = []
-            for ya in range(ra):
-                for yb in range(rb):
-                    row = []
-                    for za in range(ra):
-                        for zb in range(rb):
-                            row.append(a.N[xa][ya][za] * b.N[xb][yb][zb])
-                    plane.append(tuple(row))
-            N.append(tuple(plane))
-    return FusionTensor(labels, tuple(N))
-
-
-@lru_cache(maxsize=None)
-def _ising_fusion() -> FusionTensor:
-    return verlinde_fusion(ising(1, 1))
+# the non-pointed extremal fusion rings, by rank: a class name and a datum
+# of the library that has the ring
+_TEMPLATE_DATA = {
+    2: (("fibonacci", lambda: fibonacci(1)),),
+    3: (("ising-x-pointed(1)", lambda: ising(1, 1)),),
+    6: (("ising-x-pointed(2)", lambda: _ising_x_pointed(2)),),
+    9: (("ising-x-ising", lambda: deligne_product(ising(1, 1), ising(1, 1))),),
+    12: (
+        ("ising-x-pointed(4)", lambda: _ising_x_pointed(4)),
+        ("ising-x-pointed(4)", lambda: _ising_x_pointed(2, 2)),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def _templates(rank: int) -> tuple[tuple[str, FusionTensor], ...]:
-    base = _ising_fusion()
-    if rank == 3:
-        return (("ising-x-pointed(1)", base),)
-    if rank == 6:
-        return (("ising-x-pointed(2)", _tensor_fusion(base, _group_fusion((2,)))),)
-    if rank == 9:
-        return (("ising-x-ising", _tensor_fusion(base, base)),)
-    if rank == 12:
-        return (
-            ("ising-x-pointed(4)", _tensor_fusion(base, _group_fusion((4,)))),
-            ("ising-x-pointed(4)", _tensor_fusion(base, _group_fusion((2, 2)))),
-        )
-    return ()
+    """The Verlinde fusion rings of the template data of this rank; data of
+    other ranks are not built."""
+    return tuple(
+        (name, verlinde_fusion(build())) for name, build in _TEMPLATE_DATA.get(rank, ())
+    )
 
 
 def _signature(ft: FusionTensor, x: int) -> tuple:
@@ -367,8 +335,6 @@ def extremal_classify(md: ModularDatum) -> str:
     r = md.rank
     if len(invertibles(ft)) == r:
         return "pointed-cyclic" if _invertible_group_cyclic(ft) else "pointed-other"
-    if r == 2 and ft.N[1][1][1] == 1 and ft.N[1][1][0] == 1:
-        return "fibonacci"
     for name, tmpl in _templates(r):
         if _fusion_isomorphic(ft, tmpl):
             return name

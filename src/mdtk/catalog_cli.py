@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .cyclo import Cyc, RootOfUnity
@@ -140,19 +140,17 @@ def _check_conductor_cap(conductors) -> None:
 
 def _check_field_membership(md: ModularDatum) -> None:
     """S entries must lie in the cyclotomic field whose conductor is the
-    lcm of the T orders (valid modular data always satisfies this)."""
+    lcm of the T orders (valid modular data always satisfies this).  The
+    conductors N with e in Q(zeta_N) are closed under gcd, so e lies in
+    Q(zeta_N) exactly when its least conductor divides N."""
     N = fs_exponent(md)
     for i, row in enumerate(md.S):
         for j, e in enumerate(row):
-            if N % e.n == 0:
-                continue
-            m = math.lcm(e.n, N)
-            for k in range(1 + N, m, N):
-                if math.gcd(k, m) == 1 and e.galois(k) != e:
-                    raise DataFormatError(
-                        f"S[{md.labels[i]}][{md.labels[j]}] does not lie in "
-                        f"Q(zeta_{N}), the field of the T entries"
-                    )
+            if N % e.n and N % e.reduce_conductor().n:
+                raise DataFormatError(
+                    f"S[{md.labels[i]}][{md.labels[j]}] does not lie in "
+                    f"Q(zeta_{N}), the field of the T entries"
+                )
 
 
 def load(path: str) -> ModularDatum:
@@ -278,16 +276,7 @@ def _product_bound(a: ModularDatum, b: ModularDatum) -> BoundVerdict | None:
     if prime_power(fs) is None:
         return None
     nd = _integer_norm(global_dim(a) * global_dim(b))
-    p, holds, tier = _verdict(fs, nd)
-    return BoundVerdict(
-        name=f"({a.name})x({b.name})",
-        fsexp=fs,
-        ndim=nd,
-        prime=p,
-        bound_holds=holds,
-        extremal=tier is not None,
-        tier=tier,
-    )
+    return _verdict(f"({a.name})x({b.name})", fs, nd)
 
 
 def catalog_sweep(out=None) -> bool:
@@ -434,17 +423,7 @@ def _cmd_verify(args, out) -> int:
     md = _resolve(args.datum)
     rep = verify(md)
     if args.json:
-        json.dump(
-            {
-                "name": md.name,
-                "ok": rep.ok,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "witness": c.witness}
-                    for c in rep.checks
-                ],
-            },
-            out,
-        )
+        json.dump({"name": md.name, "ok": rep.ok, "checks": [asdict(c) for c in rep.checks]}, out)
         out.write("\n")
     else:
         out.write(str(rep) + "\n")
@@ -550,19 +529,7 @@ def _cmd_bound_check(args, out) -> int:
     md = _resolve(args.datum)
     v = bound_check(md, classify=args.classify)
     if args.json:
-        json.dump(
-            {
-                "name": v.name,
-                "fsexp": v.fsexp,
-                "ndim": v.ndim,
-                "prime": v.prime,
-                "bound_holds": v.bound_holds,
-                "extremal": v.extremal,
-                "tier": v.tier,
-                "extremal_class": v.extremal_class,
-            },
-            out,
-        )
+        json.dump(asdict(v), out)
         out.write("\n")
     else:
         out.write(str(v) + "\n")

@@ -231,3 +231,38 @@ def test_extremal_classify_ising_with_pointed():
     md = deligne_product(ising(1, 1), cyclic_pointed(2))
     got = extremal_classify(md)
     assert got.startswith("ising-x-pointed")
+
+
+def test_extremal_classify_ising_with_groups_of_order_four():
+    for mg in (MetricGroup.generator_form((4,), (1,)),
+               MetricGroup.generator_form((2, 2), (1, 1))):
+        md = deligne_product(ising(1, 1), pointed(mg))
+        assert md.rank == 12
+        assert extremal_classify(md) == "ising-x-pointed(4)"
+        v = bound_check(md, classify=True)
+        assert (v.fsexp, v.ndim, v.tier) == (16, 16, 1)
+        assert v.extremal_class == "ising-x-pointed(4)"
+
+
+def test_extremal_classify_unclassified():
+    # extremal (FSexp 5 = Ndim 5) and not pointed, at a rank no listed
+    # shape has
+    md = deligne_product(fibonacci(1), fibonacci(2))
+    v = bound_check(md, classify=True)
+    assert (v.fsexp, v.ndim, v.extremal) == (5, 5, True)
+    assert v.extremal_class == "unclassified"
+    assert str(v).endswith("extremal (tier 1) class unclassified")
+
+
+def test_lemma_verdict_str():
+    assert str(lemma_orbit_bound(fibonacci(1), "tau")) == (
+        "[skip] tau: global dimension is not a rational integer"
+    )
+    assert str(lemma_orbit_bound(ising(1, 1), "sigma")) == "[ok] sigma: orbit sum 2 vs 1 * 2"
+    assert str(lemma_orbit_bound(ising(1, 1), "1")) == "[FAIL] 1: orbit sum 1 vs 2 * 1"
+
+
+def test_lemma_orbit_bound_checks_the_label_on_every_datum():
+    for md in (fibonacci(1), ising(1, 1)):
+        with pytest.raises(KeyError, match="nope"):
+            lemma_orbit_bound(md, "nope")

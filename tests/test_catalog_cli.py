@@ -36,6 +36,7 @@ from mdtk.modular import (
     normalized_t,
     normalized_t_order,
     verify,
+    verlinde_fusion,
 )
 
 
@@ -431,3 +432,86 @@ def test_fpdim_and_report_do_not_import_numpy(monkeypatch, capsys):
     assert fpdim_pseudounitary(so5_level9(1))[1] is False
     assert main(["report", "so5level9-1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["pseudounitary"] is False
+
+
+def test_from_dict_accepts_an_entry_written_at_a_larger_conductor():
+    # S[g1][g2] of pointed-c5 lies in Q(zeta_5) but is written at 15
+    md = builtin("pointed-c5")
+    obj = to_dict(md)
+    wide = md.S[1][2].lift(15).to_json()
+    assert wide["n"] == 15
+    obj["S"][1][2] = wide
+    obj["S"][2][1] = wide
+    again = from_dict(obj)
+    assert again.S[1][2].n == 15
+    assert data_equal(again, md)
+
+
+def test_cli_fusion_json_lists_the_verlinde_coefficients(tmp_path, capsys):
+    path = tmp_path / "if.json"
+    assert main(["product", "ising-1-p", "fibonacci-1", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["fusion", str(path), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    ft = verlinde_fusion(load(str(path)))
+    r = ft.rank
+    want = [
+        {"x": ft.labels[x], "y": ft.labels[y], "z": ft.labels[z], "n": ft.N[x][y][z]}
+        for x in range(r) for y in range(x, r) for z in range(r) if ft.N[x][y][z]
+    ]
+    assert obj == {"name": "(ising-1-p)x(fibonacci-1)", "fusion": want}
+
+
+def test_cli_bound_check_json_fields(capsys):
+    head = [("name", "ising-1-p"), ("fsexp", 16), ("ndim", 4), ("prime", 2),
+            ("bound_holds", True), ("extremal", True), ("tier", 4)]
+    for extra, cls in (([], None), (["--classify"], "ising-x-pointed(1)")):
+        assert main(["bound-check", "ising-1-p", "--json", *extra]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert list(obj.items()) == head + [("extremal_class", cls)]
+
+
+def test_cli_verify_json_check_fields(tmp_path, capsys):
+    md = ising(1, 1)
+    S = [list(row) for row in md.S]
+    S[1][2] = S[2][1] = S[1][2] + 1
+    path = tmp_path / "bad.json"
+    save(ModularDatum(md.labels, S, md.T, name="perturbed"), str(path))
+    assert main(["verify", str(path), "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["name", "ok", "checks"]
+    assert obj["ok"] is False
+    rep = verify(load(str(path)))
+    assert obj["checks"] == [
+        {"name": c.name, "passed": c.passed, "witness": c.witness} for c in rep.checks
+    ]
+    assert all(list(c) == ["name", "passed", "witness"] for c in obj["checks"])
+    assert any(c["witness"] for c in obj["checks"])
+
+
+def test_cli_report_text(capsys):
+    assert main(["report", "fibonacci-1"]) == 0
+    assert capsys.readouterr().out == (
+        "name:            fibonacci-1\n"
+        "rank:            2\n"
+        "  dim(1) = 1  ~ 1\n"
+        "  dim(tau) = -z5^2 - z5^3  ~ 1.618033989\n"
+        "global dim:      2 - z5^2 - z5^3  ~ 3.618033989\n"
+        "Ndim (norm):     5\n"
+        "FSexp:           5\n"
+        "normalized T:    order 20, gamma = z20^11\n"
+        "anomaly:         z10^3 (order 10)\n"
+        "gauss sums:      -z5 + z5^3 / 1 + z5 + 2*z5^2 + z5^3\n"
+        "FPdim:           3.61803398875 (pseudounitary: True)\n"
+        "invertibles:     1\n"
+        "symmetric center: 1\n"
+    )
+
+
+def test_cli_orbits_text(capsys):
+    assert main(["orbits", "fibonacci-1"]) == 0
+    assert capsys.readouterr().out == (
+        "working conductor: 60\n"
+        "1: orbit {1, tau}, squared orbit {1} (dim^2 sum 1)\n"
+        "tau: orbit {1, tau}, squared orbit {tau} (dim^2 sum 1 - z5^2 - z5^3)\n"
+    )
