@@ -61,7 +61,9 @@ class BoundVerdict:
     prime is None when the T order is not a prime power (the bound is then
     vacuous and holds by convention).  tier records which multiple of the
     norm is attained in the extremal case: 1, 2 or 4 for p = 2 and always
-    1 for odd p.
+    1 for odd p.  extremal_class, when asked for, names the fusion ring of
+    an extremal datum as `extremal_classify` does; "unclassified" on data
+    that are not pseudo-unitary is outside the classified case, not a gap.
     """
 
     name: str
@@ -330,7 +332,16 @@ def extremal_classify(md: ModularDatum) -> str:
 
     Returns one of pointed-cyclic, pointed-other, fibonacci, ising-x-ising,
     ising-x-pointed(1), ising-x-pointed(2), ising-x-pointed(4), or
-    unclassified when the ring matches none of the shapes."""
+    unclassified when the ring matches none of the shapes.  The name is
+    that of a fusion ring, not of a datum: the Galois conjugate fibonacci-2,
+    which is not pseudo-unitary, is named fibonacci too.
+
+    The paper describes the extremal cases completely only for
+    pseudo-unitary data, and the shapes follow that description.  So
+    unclassified on data that are not pseudo-unitary, such as the
+    so5level9 family (FSexp 9 = Ndim 9, FPdim about 74.6), is outside the
+    classified case and is not a gap in the shapes; no hypothesis is
+    checked here, and `fpdim_pseudounitary` tells the two apart."""
     ft = verlinde_fusion(md)
     r = md.rank
     if len(invertibles(ft)) == r:

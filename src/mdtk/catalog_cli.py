@@ -90,10 +90,14 @@ def to_dict(md: ModularDatum) -> dict:
     }
 
 
+def _write_datum(md: ModularDatum, fh) -> None:
+    # json.dumps, not json.dump: only dumps runs the C encoder
+    fh.write(json.dumps(to_dict(md)) + "\n")
+
+
 def save(md: ModularDatum, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(to_dict(md), fh, indent=1)
-        fh.write("\n")
+        _write_datum(md, fh)
 
 
 def from_dict(obj: dict) -> ModularDatum:
@@ -395,8 +399,7 @@ def _emit_datum(md: ModularDatum, path: str | None, out) -> None:
     if path:
         save(md, path)
     else:
-        json.dump(to_dict(md), out, indent=1)
-        out.write("\n")
+        _write_datum(md, out)
 
 
 def _cmd_construct(args, out) -> int:

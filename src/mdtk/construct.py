@@ -156,7 +156,7 @@ def pointed(mg: MetricGroup, name: str | None = None) -> ModularDatum:
     labels = [_element_label(g, single) for g in elems]
     if name is None:
         name = "pointed-" + "x".join(f"c{n}" for n in mg.orders)
-    return ModularDatum(labels, S, T, name=name, _trusted=True)
+    return ModularDatum(labels, S, T, name=name)
 
 
 def double_abelian(orders, name: str | None = None) -> ModularDatum:
@@ -207,9 +207,7 @@ def ising(j: int = 1, eps: int = 1) -> ModularDatum:
     t_sigma = RootOfUnity.make(16, -j if eps == 1 else 8 - j)
     T = [RootOfUnity.one(), RootOfUnity.make(2, 1), t_sigma]
     tag = "p" if eps == 1 else "m"
-    return ModularDatum(
-        ["1", "psi", "sigma"], S, T, name=f"ising-{j}-{tag}", _trusted=True
-    )
+    return ModularDatum(["1", "psi", "sigma"], S, T, name=f"ising-{j}-{tag}")
 
 
 def fibonacci(j: int = 1) -> ModularDatum:
@@ -226,7 +224,7 @@ def fibonacci(j: int = 1) -> ModularDatum:
     d = rational(1) + root_of_unity(5, j) + root_of_unity(5, -j)
     S = [[rational(1), d], [d, rational(-1)]]
     T = [RootOfUnity.one(), RootOfUnity.make(5, 2 * j)]
-    return ModularDatum(["1", "tau"], S, T, name=f"fibonacci-{j % 5}", _trusted=True)
+    return ModularDatum(["1", "tau"], S, T, name=f"fibonacci-{j % 5}")
 
 
 def so5_level9(j: int = 1) -> ModularDatum:
@@ -260,7 +258,7 @@ def so5_level9(j: int = 1) -> ModularDatum:
         RootOfUnity.make(9, 2 * j),
     ]
     labels = ["1", "a", "b", "u0", "u1", "u2"]
-    return ModularDatum(labels, S, T, name=f"so5level9-{j % 9}", _trusted=True)
+    return ModularDatum(labels, S, T, name=f"so5level9-{j % 9}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def deligne_product(a: ModularDatum, b: ModularDatum) -> ModularDatum:
     T = [ta * tb for ta in a.T for tb in b.T]
     na = a.name or "a"
     nb = b.name or "b"
-    return ModularDatum(labels, S, T, name=f"({na})x({nb})", _trusted=True)
+    return ModularDatum(labels, S, T, name=f"({na})x({nb})")
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +290,14 @@ def deligne_product(a: ModularDatum, b: ModularDatum) -> ModularDatum:
 
 @dataclass(frozen=True)
 class CocycleSpec:
-    """A 3-cocycle on prod_i Z/orders[i] given by per-factor exponents:
-    on the factor Z/n with exponent a it restricts, on the cyclic subgroup
-    of order d generated by any g of that order, to the class a mod d.
+    """A 3-cocycle on prod_i Z/orders[i], the product of the type-I cocycles
 
-    For several factors the restriction to a general cyclic subgroup mixes
-    the exponents; `restriction_orders` can then supply the order of the
-    restricted class per element (as a mapping from element tuples)."""
+        omega_a(x, y, z) = exp(2 pi i a x (y + z - [y + z]_n) / n^2)
+
+    on the factors Z/n, with a = exps[i] and [.]_n the residue in [0, n)."""
 
     orders: tuple[int, ...]
     exps: tuple[int, ...]
-    restriction_orders: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
         if len(self.exps) != len(self.orders):
@@ -316,30 +311,18 @@ def fsexp_vec_g_omega(spec: CocycleSpec) -> int:
     """The invariant lcm_g |g| * ord(omega restricted to <g>) for graded
     vector spaces twisted by the cocycle described by spec.
 
-    For a single cyclic factor Z/n with exponent a the restriction to the
-    subgroup of order d has order d / gcd(d, a), computed from the standard
-    generator cocycle.  Multi-factor specs need explicit restriction orders
-    unless the cocycle is trivial.
+    The restriction of omega to <g>, g of order d, has the class
+    prod_k omega(g, kg, g) in H^3(Z/d) = Z/d.  On the factor Z/n_i the
+    carries [k g_i] + g_i - [(k + 1) g_i] telescope to d g_i over
+    k = 0 .. d - 1, so that factor contributes a_i (g_i d / n_i)^2 / d to
+    the exponent.  The class is sum_i a_i (g_i d / n_i)^2 mod d, and the
+    restriction has order d / gcd(d, that sum).
     """
-    multi = len(spec.orders) > 1 and any(spec.exps)
-    lookup = dict(spec.restriction_orders)
     acc = 1
     for g in itertools.product(*(range(n) for n in spec.orders)):
         d = 1
         for gi, n in zip(g, spec.orders):
             d = math.lcm(d, n // math.gcd(n, gi))
-        if any(v for v in g) and multi:
-            if g not in lookup:
-                raise ValueError(
-                    f"restriction order for {g} is required for multi-factor cocycles"
-                )
-            w = lookup[g]
-        elif g in lookup:
-            w = lookup[g]
-        elif len(spec.orders) == 1:
-            a = spec.exps[0]
-            w = d // math.gcd(d, a)
-        else:
-            w = 1
-        acc = math.lcm(acc, d * w)
+        cls = sum(a * (gi * d // n) ** 2 for a, gi, n in zip(spec.exps, g, spec.orders))
+        acc = math.lcm(acc, d * (d // math.gcd(d, cls)))
     return acc

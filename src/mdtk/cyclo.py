@@ -212,10 +212,6 @@ class ComplexInterval:
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    @property
-    def width(self):
-        return 2 * self.radius
-
 
 # ---------------------------------------------------------------------------
 # field elements

@@ -23,7 +23,8 @@ from mdtk.bounds import (
     prime_power,
     siegel_check,
 )
-from mdtk.modular import NotModularError
+from mdtk.catalog_cli import builtin, builtin_names
+from mdtk.modular import NotModularError, fpdim_pseudounitary
 
 
 def cyclic_pointed(n, name=None):
@@ -252,6 +253,23 @@ def test_extremal_classify_unclassified():
     assert (v.fsexp, v.ndim, v.extremal) == (5, 5, True)
     assert v.extremal_class == "unclassified"
     assert str(v).endswith("extremal (tier 1) class unclassified")
+
+
+def test_unclassified_extremal_builtins_are_not_pseudo_unitary():
+    # the templates follow the paper's description of the pseudo-unitary
+    # extremal data, so a pseudo-unitary extremal datum always has a class
+    unclassified = set()
+    for name in builtin_names():
+        md = builtin(name)
+        v = bound_check(md, classify=True)
+        if not v.extremal:
+            continue
+        assert v.extremal_class is not None
+        pseudo_unitary = fpdim_pseudounitary(md)[1]
+        assert not (pseudo_unitary and v.extremal_class == "unclassified"), name
+        if v.extremal_class == "unclassified":
+            unclassified.add(name)
+    assert unclassified == {n for n in builtin_names() if n.startswith("so5level9-")}
 
 
 def test_lemma_verdict_str():

@@ -368,6 +368,15 @@ def test_cli_construct_writes_file(tmp_path, capsys):
     assert verify(md).ok
 
 
+def test_cli_construct_writes_pointed_c81_compactly(tmp_path, capsys):
+    # the same datum written with indent=1 takes 7.4 MB
+    path = tmp_path / "c81.json"
+    assert main(["construct", "pointed", "--orders", "81", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert os.path.getsize(path) < 3_000_000
+    assert load(str(path)).rank == 81
+
+
 def test_cli_construct_ising(tmp_path, capsys):
     path = tmp_path / "is.json"
     assert main(["construct", "ising", "--j", "3", "--eps", "-1",

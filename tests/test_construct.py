@@ -1,6 +1,10 @@
 """Builders: pointed data from metric groups, the named small families,
 abelian doubles, Deligne products, and the graded vector space exponent."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from mdtk.cyclo import RootOfUnity, rational, root_of_unity
@@ -230,15 +234,78 @@ def test_fsexp_vec_g_omega_non_generator():
     assert fsexp_vec_g_omega(CocycleSpec((4,), (2,))) == 8
 
 
-def test_fsexp_vec_g_omega_multi_needs_restrictions():
-    with pytest.raises(ValueError):
-        fsexp_vec_g_omega(CocycleSpec((2, 2), (1, 0)))
-    spec = CocycleSpec(
-        (2, 2),
-        (1, 0),
-        (((0, 1), 1), ((1, 0), 2), ((1, 1), 2)),
-    )
-    assert fsexp_vec_g_omega(spec) == 4
+def _cocycle_exponent(spec):
+    """omega(g, h, k) = exp(2 pi i e(g, h, k)), the product over the factors
+    Z/n of the type-I cocycles a x (y + z - [y + z]_n) / n^2, with e taken
+    mod 1."""
+
+    def e(g, h, k):
+        total = sum(
+            Fraction(a * x * (y + z - (y + z) % n), n * n)
+            for a, n, x, y, z in zip(spec.exps, spec.orders, g, h, k)
+        )
+        return total % 1
+
+    return e
+
+
+def _fsexp_oracle(spec):
+    """lcm over g of |g| times the order of the root of unity
+    prod_{k < |g|} omega(g, kg, g), the class of omega restricted to <g>."""
+    e = _cocycle_exponent(spec)
+    acc = 1
+    for g in itertools.product(*(range(n) for n in spec.orders)):
+        powers = [tuple(0 for _ in g)]
+        while True:
+            nxt = tuple((p + x) % n for p, x, n in zip(powers[-1], g, spec.orders))
+            if not any(nxt):
+                break
+            powers.append(nxt)
+        d = len(powers)
+        invariant = sum(e(g, kg, g) for kg in powers) % 1
+        acc = math.lcm(acc, d * invariant.denominator)
+    return acc
+
+
+def _type_one_specs():
+    for n in range(1, 17):
+        for a in range(n):
+            yield CocycleSpec((n,), (a,))
+    shapes = [(n1, n2) for n1 in range(2, 7) for n2 in range(n1, 7)]
+    shapes += [(2, 2, 2), (2, 2, 4)]
+    for orders in shapes:
+        for exps in itertools.product(*(range(n) for n in orders)):
+            yield CocycleSpec(orders, exps)
+
+
+def test_type_one_cocycle_oracle_is_a_cocycle():
+    # the coboundary is additive over the factors, so cyclic groups and one
+    # product cover it
+    for orders in ((2,), (3,), (4,), (5,), (6,), (2, 2)):
+        for exps in itertools.product(*(range(n) for n in orders)):
+            spec = CocycleSpec(orders, exps)
+            e = _cocycle_exponent(spec)
+
+            def add(g, h):
+                return tuple((x + y) % n for x, y, n in zip(g, h, orders))
+
+            elems = list(itertools.product(*(range(n) for n in orders)))
+            for g, h, k, l in itertools.product(elems, repeat=4):
+                coboundary = (
+                    e(h, k, l) - e(add(g, h), k, l) + e(g, add(h, k), l)
+                    - e(g, h, add(k, l)) + e(g, h, k)
+                )
+                assert coboundary % 1 == 0, (spec, g, h, k, l)
+
+
+def test_fsexp_vec_g_omega_matches_cocycle_oracle():
+    specs = list(_type_one_specs())
+    assert len(specs) > 350
+    for spec in specs:
+        assert fsexp_vec_g_omega(spec) == _fsexp_oracle(spec), spec
+    # a on Z/2 x Z/2 with the second exponent trivial: (1, 0) and (1, 1)
+    # restrict to order 2
+    assert fsexp_vec_g_omega(CocycleSpec((2, 2), (1, 0))) == 4
 
 
 def test_cocycle_spec_validation():

@@ -9,7 +9,13 @@ from functools import partial
 import pytest
 
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.cyclo import RootOfUnity, rational, root_of_unity, units_mod
+from mdtk.cyclo import (
+    RootOfUnity,
+    rational,
+    root_of_unity,
+    unit_group_generators,
+    units_mod,
+)
 from mdtk.construct import (
     MetricGroup,
     deligne_product,
@@ -38,6 +44,7 @@ from mdtk.modular import (
     global_dim,
     ndim,
     verify,
+    verlinde_fusion,
 )
 
 
@@ -289,14 +296,21 @@ def _mutated(md, rng):
     return ModularDatum(labels, S, T, name=f"{md.name}~{kind}")
 
 
-def test_permutation_matches_reference_matcher():
+def _seeded_data(seed, count):
+    """The builtins, two products, and count seeded mutations of the
+    builtins of rank at most 6."""
     data = [builtin(n) for n in builtin_names()]
     data.append(deligne_product(ising(1, 1), fibonacci(1)))
-    rng = random.Random(20240601)
+    data.append(deligne_product(pointed_c3(), fibonacci(2)))
+    rng = random.Random(seed)
     small = [n for n in builtin_names() if builtin(n).rank <= 6]
-    data += [_mutated(builtin(rng.choice(small)), rng) for _ in range(24)]
+    data += [_mutated(builtin(rng.choice(small)), rng) for _ in range(count)]
+    return data
+
+
+def test_permutation_matches_reference_matcher():
     failures = set()
-    for md in data:
+    for md in _seeded_data(20240601, 24):
         N = working_conductor(md)
         reference = _reference_matcher(md)
         for k in units_mod(N) + (0, N - 2, N + 1):
@@ -309,6 +323,47 @@ def test_permutation_matches_reference_matcher():
             assert got == want, (md.name, k)
     # the mutations reach the error paths, not only the mappings
     assert {"ValueError", "NotModularError"} <= failures
+
+
+def test_fusion_duals_are_the_charge_permutation():
+    # the duality check of verify passes whenever charge conjugation and
+    # Verlinde integrality do; this checks the fact behind that directly
+    decided = nontrivial = 0
+    for md in _seeded_data(20241018, 60):
+        checks = {c.name: c.passed for c in verify(md).checks}
+        if not (checks.get("charge-conjugation") and checks.get("verlinde-integrality")):
+            continue
+        r = md.rank
+        charge = []
+        for y in range(r):
+            conj = [md.S[x][y].conj() for x in range(r)]
+            hits = [z for z in range(r) if all(md.S[x][z] == conj[x] for x in range(r))]
+            assert len(hits) == 1, (md.name, y)
+            charge.append(hits[0])
+        assert verlinde_fusion(md).duals == tuple(charge), md.name
+        decided += 1
+        nontrivial += charge != list(range(r))
+    assert decided >= 40 and nontrivial >= 5, (decided, nontrivial)
+
+
+def test_reference_permutations_compose_at_generator_products():
+    # the homomorphism check of verify_galois_identities passes whenever the
+    # permutations exist; this checks the fact behind that directly
+    composed = 0
+    for md in _seeded_data(20241019, 40):
+        N = working_conductor(md)
+        gens = unit_group_generators(N)
+        reference = _reference_matcher(md)
+        perms = {g: _outcome(reference, g) for g in gens}
+        for g1 in gens:
+            for g2 in gens:
+                p1, p2 = perms[g1], perms[g2]
+                if isinstance(p1[0], str) or isinstance(p2[0], str):
+                    continue
+                composite = tuple(p1[p2[i]] for i in range(md.rank))
+                assert reference(g1 * g2) == composite, (md.name, g1, g2)
+                composed += 1
+    assert composed >= 200, composed
 
 
 def test_degenerate_columns_raise():

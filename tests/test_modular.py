@@ -361,11 +361,11 @@ def test_verlinde_rejects_non_modular():
     one = rational(1)
     S = ((one, one), (one, rational(-1)))
     T = (RootOfUnity.one(), RootOfUnity.one())
-    md = ModularDatum(("1", "x"), S, T, name="not-modular", _trusted=True)
+    md = ModularDatum(("1", "x"), S, T, name="not-modular")
     # S here is a character table with a non-integral Verlinde output
     # only if scaled badly; this one is fine, so perturb instead
     S2 = ((one, one), (one, rational(Fraction(1, 2))))
-    md2 = ModularDatum(("1", "x"), S2, T, name="bad", _trusted=True)
+    md2 = ModularDatum(("1", "x"), S2, T, name="bad")
     with pytest.raises(NotModularError):
         verlinde_fusion(md2)
 
