@@ -12,6 +12,10 @@ Inversion and conductor descent are built on it and on `Cyc.galois`: an
 inverse is a product of Galois images over a rational norm, and a value
 drops to a subfield by a stride of the power basis or by a relative trace.
 
+`ResidueMap` sends Z[zeta_N] to Z/m by zeta_N -> 2^b, one integer per
+element; with m chosen from an a-priori bound on the values, it decides
+equality exactly with big-integer products instead of field products.
+
 All arithmetic is exact.  Floating point enters only through `Cyc.embed`,
 which returns a certified complex interval (midpoint plus radius) used for
 sign decisions; every sign decision first runs an exact zero test, so the
@@ -32,6 +36,7 @@ __all__ = [
     "Cyc",
     "RootOfUnity",
     "ComplexInterval",
+    "ResidueMap",
     "root_of_unity",
     "rational",
     "euler_phi",
@@ -752,3 +757,60 @@ class RootOfUnity:
         if type(m) is not int or type(k) is not int:
             raise ValueError("root of unity fields must be integers")
         return RootOfUnity.make(m, k)
+
+
+# ---------------------------------------------------------------------------
+# exact residues
+
+
+class ResidueMap:
+    """The ring map Z[zeta_N] -> Z/m with zeta_N -> w = 2^bits and
+    m = |Phi_N(w)|, chosen so that m > bound^phi(N).  It turns each field
+    element into one integer (Kronecker substitution), and it decides
+    equality exactly for values bounded by `bound` in every embedding.
+
+    The map is well defined because Phi_N(w) = 0 mod m, and w^N = 1 mod m
+    because Phi_N divides x^N - 1.  Proof of exactness: the map is onto, so
+    its kernel is an ideal of norm m.  An integral x that maps to 0 lies in
+    that ideal, so m divides the field norm N(x), the product of the phi(N)
+    values sigma(x).  If x != 0 and every |sigma(x)| <= bound, then
+    0 < |N(x)| <= bound^phi(N) < m, which is impossible.  So x maps to 0
+    only when x = 0.  Since |w - zeta| >= w - 1 for every root of unity
+    zeta, w >= bound + 2 gives m >= (bound + 1)^phi(N).
+
+    The bound rule: |sigma(x)| is at most ||x||_1, the sum of the absolute
+    coefficients of any expression of x in powers of zeta.  For
+    x = sum_k a_k b_k - c, take sum_k ||a_k||_1 ||b_k||_1 + ||c||_1, from
+    the factors; the coefficients of x after reduction mod Phi_N can be
+    larger (Phi_105 has a coefficient -2).
+    """
+
+    __slots__ = ("conductor", "bits", "modulus")
+
+    def __init__(self, conductor: int, bound: int):
+        self.conductor = conductor
+        self.bits = (bound + 1).bit_length()
+        phi_n = cyclotomic_poly(conductor)
+        self.modulus = abs(sum(c << (self.bits * i) for i, c in enumerate(phi_n)))
+
+    def __call__(self, x: Cyc, scale: int = 1, k: int = 1) -> int:
+        """The image of scale * sigma_k(x), for x in Q(zeta_n) with n dividing
+        the conductor N and scale * x integral.  zeta_n^i is zeta_N^(iN/n),
+        so the entries of x pack at a stride of bits * N/n."""
+        N, n = self.conductor, x.n
+        q, rem = divmod(scale, x.den)
+        if N % n or rem:
+            raise ValueError(f"{scale} * ({x}) is not in Z[zeta_{N}]")
+        stride = self.bits * (N // n)
+        acc = 0
+        for i, v in enumerate(x.num):
+            if v:
+                acc += v << (stride * (k * i % n))
+        return acc * q % self.modulus
+
+    def root(self, t: RootOfUnity) -> int:
+        """The image of t = zeta_o^e, o dividing the conductor N: w^(eN/o)."""
+        step, rem = divmod(self.conductor, t.order)
+        if rem:
+            raise ValueError(f"{t} is not in Q(zeta_{self.conductor})")
+        return pow(2, self.bits * t.exponent * step, self.modulus)

@@ -63,10 +63,6 @@ class GaloisPermutation:
     def __call__(self, label: str) -> str:
         return self.labels[self.mapping[self.labels.index(label)]]
 
-    def compose(self, other: "GaloisPermutation") -> tuple[int, ...]:
-        """Mapping of self applied after other."""
-        return tuple(self.mapping[other.mapping[i]] for i in range(len(self.mapping)))
-
 
 @_kept_on_datum
 def working_conductor(md: ModularDatum) -> int:

@@ -16,8 +16,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from itertools import repeat
 
-from .cyclo import Cyc, RootOfUnity, _as_root_of_unity, euler_phi, rational
+from .cyclo import Cyc, ResidueMap, RootOfUnity, _as_root_of_unity, euler_phi, rational
 
 
 __all__ = [
@@ -298,25 +299,52 @@ def _lifted_s(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
 
 
 @_kept_on_datum
+def _integral_s(md: ModularDatum) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """L, the lcm of the S denominators, so that L S lies in Z[zeta_N]; N,
+    the lcm of the S conductors; and the norms ||L S[x][y]||_1 that bound
+    every |sigma(L S[x][y])|."""
+    S = md.S
+    L = math.lcm(*(e.den for row in S for e in row))
+    N = math.lcm(*(e.n for row in S for e in row))
+    return L, N, tuple(tuple(_norm1(e, L) for e in row) for row in S)
+
+
+def _norm1(e: Cyc, scale: int) -> int:
+    """||scale * e||_1 on the power basis."""
+    return sum(map(abs, e.num)) * (scale // e.den)
+
+
+@_kept_on_datum
 def _unitarity_witness(md: ModularDatum) -> str:
     """The first entry of S Sbar^T that differs from D I, as a witness, or
     "" when S Sbar^T = D I holds exactly.
 
+    With A = L S integral, each entry is decided in Z/m (see `ResidueMap`)
+    as sum_k A[i][k] conj(A[j][k]) - L^2 D [i = j] = 0.  By Cauchy-Schwarz
+    sum_k ||A[i][k]||_1 ||A[j][k]||_1 is at most the largest row sum of
+    ||A[i][k]||_1^2, which plus ||L^2 D||_1 bounds every entry.  Only the
+    failing entry is computed in the field, for the witness.
+
     The product is Hermitian, so an entry below the diagonal is nonzero
     exactly when its mirror above the diagonal is: the first failure in
     row-major order always has j >= i, and only the upper triangle is
-    computed.
+    checked.
     """
     r = md.rank
     S = md.S
     D = global_dim(md)
-    Sbar = [[e.conj() for e in row] for row in S]
+    L, N, norms = _integral_s(md)
+    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
+    m = ring.modulus
+    a = [[ring(e, L) for e in row] for row in S]
+    abar = [[ring(e, L, -1) for e in row] for row in S]
+    d = ring(D, L * L)
     for i in range(r):
         for j in range(i, r):
-            acc = rational(0)
-            for k in range(r):
-                acc = acc + S[i][k] * Sbar[j][k]
-            if acc != (D if i == j else 0):
+            if (sum(map(operator.mul, a[i], abar[j])) - (d if i == j else 0)) % m:
+                acc = rational(0)
+                for k in range(r):
+                    acc = acc + S[i][k] * S[j][k].conj()
                 return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
     return ""
 
@@ -331,12 +359,17 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     not a nonnegative integer (or a column of S is zero at the unit row).
 
     The values are evaluated in floating point and rounded, then accepted
-    only after an exact certificate in the field: S Sbar^T = D I, and
+    only after an exact certificate: S Sbar^T = D I, and
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
     for every y <= x and every column c.  Since S^-1 = Sbar^T / D, the two
-    together prove that the rounded integers equal the formula.  When S is
+    together prove that the rounded integers equal the formula.  Both are
+    decided in Z/m, which is exact: with L S integral, the map
+    zeta_N -> w = 2^b onto Z/m, m = |Phi_N(w)|, sends a nonzero x to 0 only
+    if m divides its norm, and m > B^phi(N) with B bounding every
+    |sigma(x)|.  B is taken through the factors, sum ||a||_1 ||b||_1 + ||c||_1
+    for x = sum a b - c, never from x itself (see `ResidueMap`).  When S is
     not unitary, a column has S[0][c] = 0, a float is not within 0.25 of a
     nonnegative integer, or the certificate fails, the formula is evaluated
     exactly instead, which returns the same tensor or raises the witness.
@@ -402,29 +435,29 @@ def _verlinde_certified(md: ModularDatum, planes) -> bool:
     """Whether S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c] holds
     exactly for every y <= x and every column c.
 
-    The left side is an integer combination of the products
-    A[c][z] = S[0][c] S[z][c], so those are lifted once to the common
-    conductor and kept as integer numerators over one denominator per
-    column; only the right side needs a field multiplication.
+    With A = L S integral, each equation is decided in Z/m (see
+    `ResidueMap`) as sum_z N[x][y][z] A[0][c] A[z][c] - A[x][c] A[y][c] = 0.
+    Its bound is the largest fusion row sum times max ||A[0][c]||_1 times
+    max ||A[z][c]||_1, plus max ||A[x][c]||_1^2.
     """
     r = md.rank
-    S = _lifted_s(md)
-    cols = []
-    for c in range(r):
-        a = [S[0][c] * S[z][c] for z in range(r)]
-        den = math.lcm(*(e.den for e in a))
-        cols.append((den, [[v * (den // e.den) for v in e.num] for e in a]))
+    L, N, norms = _integral_s(md)
+    top = max(map(max, norms))
+    fused = max(sum(row) for plane in planes for row in plane)
+    ring = ResidueMap(N, fused * max(norms[0]) * top + top * top)
+    m = ring.modulus
+    a = [[ring(e, L) for e in row] for row in md.S]
+    # A[z][c] is the image of A[0][c] A[z][c]; all columns go at once
+    A = [[a[0][c] * a[z][c] % m for c in range(r)] for z in range(r)]
     for x in range(r):
         for y in range(x + 1):
-            n = planes[x][y]
-            support = [(z, n[z]) for z in range(r) if n[z]]
-            for c, (den, A) in enumerate(cols):
-                acc = [0] * len(A[0])
-                for z, k in support:
-                    acc = [s + k * v for s, v in zip(acc, A[z])]
-                want = S[x][c] * S[y][c]
-                if any(u * want.den != v * den for u, v in zip(acc, want.num)):
-                    return False
+            lhs = [0] * r
+            for z, k in enumerate(planes[x][y]):
+                if k:
+                    lhs = list(map(operator.add, lhs, map(operator.mul, A[z], repeat(k))))
+            diff = map(operator.sub, lhs, map(operator.mul, a[x], a[y]))
+            if any(map(operator.mod, diff, repeat(m))):
+                return False
     return True
 
 
@@ -469,6 +502,39 @@ def _verlinde_exact(md: ModularDatum) -> FusionTensor:
 # verification
 
 
+def _balancing_witness(md: ModularDatum, N) -> str:
+    """The first (x, y), y >= x, at which the balancing relation
+
+        theta_x theta_y S[x][y] = sum_z N[x][y][z] dim(z) theta_z
+
+    fails, as a witness, or "" when it holds everywhere; theta is the
+    inverse of T.  This is the trace of the ribbon axiom on x tensor y;
+    stating it with the dual of x on the right requires S[x*][y] on the
+    left, so the undualized form is the one that holds for every datum.
+
+    With A = L S integral, each relation is decided in Z/m (see
+    `ResidueMap`) at the lcm of the S conductors and the T orders.
+    A twist has norm 1, so max ||A[x][y]||_1 plus the largest fusion row
+    sum times max ||A[0][z]||_1 bounds every relation.
+    """
+    r = md.rank
+    L, n_s, norms = _integral_s(md)
+    fused = max(sum(row) for plane in N for row in plane)
+    ring = ResidueMap(
+        math.lcm(n_s, *(t.order for t in md.T)),
+        max(map(max, norms)) + fused * max(norms[0]),
+    )
+    m = ring.modulus
+    theta = [ring.root(t.inverse()) for t in md.T]
+    dim_theta = [ring(e, L) * t % m for e, t in zip(md.S[0], theta)]
+    for x in range(r):
+        for y in range(x, r):
+            rhs = sum(k * dim_theta[z] for z, k in enumerate(N[x][y]) if k)
+            if (theta[x] * theta[y] * ring(md.S[x][y], L) - rhs) % m:
+                return f"balancing fails at ({md.labels[x]}, {md.labels[y]})"
+    return ""
+
+
 def verify(md: ModularDatum) -> VerificationReport:
     """Run the consistency battery and report named checks.
 
@@ -482,10 +548,19 @@ def verify(md: ModularDatum) -> VerificationReport:
     construction, and finiteness of the T orders.  Duality is decided by
     its prerequisites: it passes exactly when charge conjugation and
     Verlinde integrality both pass.
+
+    Unitarity, the Verlinde certificate and balancing are decided in Z/m,
+    one integer per field element (`ResidueMap`).  With L the lcm of the S
+    denominators, L S and L^2 D lie in Z[zeta_N], and zeta_N -> w = 2^b
+    maps Z[zeta_N] onto Z/m with m = |Phi_N(w)| > B^phi(N).  Each relation
+    is a difference x = sum_k a_k b_k - c of integral values, and
+    B = sum_k ||a_k||_1 ||b_k||_1 + ||c||_1, taken through the factors,
+    bounds every |sigma(x)|.  If x != 0 mapped to 0, m would divide the
+    norm of x, which lies strictly between 0 and B^phi(N) < m in absolute
+    value.  So each relation is decided exactly, and the first failing
+    index is reported.
     """
     checks: list[Check] = []
-    r = md.rank
-    S = md.S
     labels = md.labels
 
     # ModularDatum rejects an asymmetric S, so symmetry holds by type
@@ -539,27 +614,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     )
 
     if ft is not None:
-        # theta_X theta_Y S[X][Y] = sum_Z N[X][Y][Z] dim(Z) theta_Z, the
-        # trace of the ribbon axiom on X tensor Y; stating it with the dual
-        # of X on the right requires S[X*][Y] on the left, so the undualized
-        # form is the one that holds for every datum
-        d = dims(md)
-        theta = [t.inverse().to_cyc() for t in md.T]
-        bal_bad = None
-        for x in range(r):
-            for y in range(x, r):
-                lhs = theta[x] * theta[y] * S[x][y]
-                rhs = rational(0)
-                for z in range(r):
-                    m = ft.N[x][y][z]
-                    if m:
-                        rhs = rhs + m * d[z] * theta[z]
-                if lhs != rhs:
-                    bal_bad = f"balancing fails at ({labels[x]}, {labels[y]})"
-                    break
-            if bal_bad:
-                break
-        checks.append(Check("balancing", bal_bad is None, bal_bad or ""))
+        bal_bad = _balancing_witness(md, ft.N)
+        checks.append(Check("balancing", not bal_bad, bal_bad))
     else:
         checks.append(Check("balancing", False, "fusion rules unavailable"))
 

@@ -16,6 +16,7 @@ from mdtk.catalog_cli import from_dict, to_dict
 from mdtk.construct import MetricGroup, pointed
 from mdtk.cyclo import (
     Cyc,
+    ResidueMap,
     RootOfUnity,
     _as_root_of_unity,
     _power_basis,
@@ -667,3 +668,65 @@ def test_power_basis_table_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
+
+
+# ---------------------------------------------------------- residue map
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 100, 2**20 - 1, 2**40 + 5])
+def test_residue_modulus_exceeds_bound_power(bound):
+    # m > B^phi(N) is what makes the map exact on values bounded by B
+    for n in (*range(1, 301), 720, 8640):
+        ring = ResidueMap(n, bound)
+        assert ring.modulus > bound ** euler_phi(n), (n, bound)
+        assert 1 << ring.bits >= bound + 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 105, 720])
+@pytest.mark.parametrize("bound", [1, 5, 1000])
+def test_residue_kernel_element_needs_a_larger_bound(n, bound):
+    # zeta_N - w is nonzero and lies in the kernel; its ||.||_1 is w + 1,
+    # beyond the bound the ring was chosen for
+    ring = ResidueMap(n, bound)
+    w = 1 << ring.bits
+    planted = root_of_unity(n) - w
+    assert not planted.is_zero()
+    assert ring(planted) == 0
+    wider = ResidueMap(n, w + 1)
+    assert wider(planted) != 0
+
+
+def test_residue_of_roots_and_scaled_values():
+    ring = ResidueMap(36, 10)
+    m = ring.modulus
+    z = root_of_unity(36)
+    for e in range(36):
+        t = RootOfUnity.make(36, e)
+        assert ring.root(t) == ring(t.to_cyc()) == pow(1 << ring.bits, e, m)
+    # zeta_9^2 / 3 scaled by 3 is zeta_36^8
+    assert ring(root_of_unity(9, 2) / 3, 3) == ring(z**8)
+    assert pow(1 << ring.bits, 36, m) == 1
+    with pytest.raises(ValueError):
+        ring(root_of_unity(9, 2) / 3)
+    with pytest.raises(ValueError):
+        ring(root_of_unity(5))
+    with pytest.raises(ValueError):
+        ring.root(RootOfUnity.make(5, 1))
+
+
+def test_residue_separates_bounded_values():
+    # every nonzero x = sum of at most `bound` roots of unity maps to nonzero
+    rng = random.Random(11)
+    zeros = 0
+    for n in (5, 8, 12, 15, 16, 21, 30):
+        bound = 6
+        ring = ResidueMap(n, bound)
+        for _ in range(200):
+            terms = [rng.randrange(n) for _ in range(rng.randrange(1, bound + 1))]
+            signs = [rng.choice((-1, 1)) for _ in terms]
+            x = rational(0)
+            for e, sgn in zip(terms, signs):
+                x = x + sgn * root_of_unity(n, e)
+            assert (ring(x) == 0) == x.is_zero(), (n, x)
+            zeros += x.is_zero()
+    assert zeros >= 10, zeros

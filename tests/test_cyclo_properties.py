@@ -1,6 +1,7 @@
-"""Property tests of Cyc.inverse, Cyc.reduce_conductor and the JSON form
-against oracles that do not use the code under test: sympy's arithmetic
-modulo Phi_n, and the Galois description of the subfields of Q(zeta_n)."""
+"""Property tests of Cyc.inverse, Cyc.reduce_conductor, the JSON form and
+the residue map against oracles that do not use the code under test:
+sympy's arithmetic modulo Phi_n, the Galois description of the subfields of
+Q(zeta_n), and Cyc arithmetic for the residue map."""
 
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdtk.cyclo import Cyc, divisors, euler_phi, rational, units_mod
+from mdtk.cyclo import Cyc, ResidueMap, divisors, euler_phi, rational, units_mod
 
 CONDUCTORS = (1, 2, 6, 8, 9, 10, 12, 27, 30, 45, 72, 105, 360)
 X = sympy.Symbol("x")
@@ -22,10 +23,10 @@ examples = settings(derandomize=True, max_examples=8, deadline=None)
 
 
 @st.composite
-def elements(draw, n):
+def elements(draw, n, dens=st.integers(1, 12)):
     """A value at conductor n with coefficients in -9..9 over a common
-    denominator; about half the coefficients are 0."""
-    den = draw(st.integers(1, 12))
+    denominator drawn from dens; about half the coefficients are 0."""
+    den = draw(dens)
     coeff = st.one_of(st.just(0), st.integers(-9, 9))
     nums = draw(st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)))
     return Cyc.from_json({"n": n, "c": [[v, den] for v in nums]})
@@ -90,3 +91,30 @@ def test_json_round_trip(n, data):
     again = Cyc.from_json(x.to_json())
     assert (again.n, again.den, again.num) == (x.n, x.den, x.num)
     assert again.coeffs == tuple(Fraction(v, x.den) for v in x.num)
+
+
+def norm1(x: Cyc) -> int:
+    return sum(map(abs, x.num))
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@settings(examples, max_examples=15)
+@given(data=st.data())
+def test_residue_map_respects_the_ring_operations(n, data):
+    # integral x and y at conductors dividing n, and a ring chosen by the
+    # bound rule for x y, x + y and each of them alone
+    x = data.draw(elements(data.draw(st.sampled_from(divisors(n))), st.just(1)))
+    y = data.draw(elements(data.draw(st.sampled_from(divisors(n))), st.just(1)))
+    ring = ResidueMap(n, norm1(x) * norm1(y) + norm1(x) + norm1(y))
+    m = ring.modulus
+    assert ring(x + y) == (ring(x) + ring(y)) % m
+    assert ring(x - y) == (ring(x) - ring(y)) % m
+    assert ring(x * y) == ring(x) * ring(y) % m
+    assert ring(x.conj()) == ring(x, k=-1)
+    k = data.draw(st.sampled_from(units_mod(n)))
+    assert ring(x.galois(k)) == ring(x, k=k)
+    assert ring(x.lift(n)) == ring(x)
+    assert ring(x * 7, 1) == ring(x / 3, 21)
+    # exact: a value bounded by the ring's bound maps to 0 only if it is 0
+    for v in (x, y, x * y, x + y):
+        assert (ring(v) == 0) == v.is_zero()

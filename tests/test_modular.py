@@ -2,7 +2,9 @@
 scalar invariants built from S and T."""
 
 import itertools
+import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from mdtk.construct import (
     so5_level9,
 )
 from mdtk.modular import (
+    _balancing_witness,
+    _unitarity_witness,
     _verlinde_certified,
     _verlinde_exact,
     _verlinde_float,
@@ -44,6 +48,7 @@ from mdtk.modular import (
     verify,
     verlinde_fusion,
 )
+from test_galois import _seeded_data
 
 
 def cyclic_metric(n, mod, f, name=None):
@@ -499,3 +504,167 @@ def test_data_equal():
     assert not data_equal(ising(1, 1), ising(1, -1))
     assert not data_equal(ising(1, 1), fibonacci(1))
     assert data_equal(fibonacci(2), fibonacci(7))
+
+
+# ------------------------------------- field references for the Z/m checks
+
+
+def reference_unitarity(md):
+    """The first entry of S Sbar^T in row-major order that differs from D I,
+    computed in the field over the whole matrix, or ""."""
+    r, S, D = md.rank, md.S, global_dim(md)
+    for i in range(r):
+        for j in range(r):
+            acc = rational(0)
+            for k in range(r):
+                acc = acc + S[i][k] * S[j][k].conj()
+            if acc != (D if i == j else 0):
+                return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
+    return ""
+
+
+def reference_balancing(md, N):
+    """The first (x, y), y >= x, where theta_x theta_y S[x][y] differs from
+    sum_z N[x][y][z] dim(z) theta_z in the field, or ""."""
+    r, S, d = md.rank, md.S, dims(md)
+    theta = [t.inverse().to_cyc() for t in md.T]
+    for x in range(r):
+        for y in range(x, r):
+            rhs = rational(0)
+            for z in range(r):
+                if N[x][y][z]:
+                    rhs = rhs + N[x][y][z] * d[z] * theta[z]
+            if theta[x] * theta[y] * S[x][y] != rhs:
+                return f"balancing fails at ({md.labels[x]}, {md.labels[y]})"
+    return ""
+
+
+def complete(planes):
+    r = len(planes)
+    return tuple(tuple(planes[max(x, y)][min(x, y)] for y in range(r)) for x in range(r))
+
+
+def test_verify_decisions_match_field_references():
+    failing = unitary_bad = balancing_bad = certified = 0
+    for md in _seeded_data(20241102, 120):
+        checks = {c.name: c for c in verify(md).checks}
+        failing += not all(c.passed for c in checks.values())
+        try:
+            global_dim(md)
+        except NotModularError:
+            continue
+        want = reference_unitarity(md)
+        unitary_bad += bool(want)
+        got = checks["s-unitary-scale"]
+        assert (got.passed, got.witness) == (not want, want), md.name
+        planes = None
+        if not want and all(not e.is_zero() for e in md.S[0]):
+            planes = _verlinde_float(md)
+        if planes is not None:
+            try:
+                exact = _verlinde_exact(md).N
+            except NotModularError:
+                exact = None
+            assert _verlinde_certified(md, planes) == (exact == complete(planes)), md.name
+            certified += 1
+        try:
+            N = verlinde_fusion(md).N
+        except (NotModularError, DataFormatError):
+            assert checks["balancing"].witness == "fusion rules unavailable"
+            continue
+        want = reference_balancing(md, N)
+        balancing_bad += bool(want)
+        got = checks["balancing"]
+        assert (got.passed, got.witness) == (not want, want), md.name
+    assert failing >= 50 and unitary_bad >= 20 and balancing_bad >= 20, (
+        failing, unitary_bad, balancing_bad)
+    assert certified >= 80, certified
+
+
+def planted_data():
+    c27 = pointed(MetricGroup.generator_form((27,), (2,)), name="pointed-c27")
+    c9 = pointed(MetricGroup.generator_form((9,), (1,)), name="pointed-c9")
+    return c27, deligne_product(ising(1, 1), c9)
+
+
+@pytest.mark.parametrize("md", planted_data(), ids=lambda md: md.name or "ising*pointed-c9")
+def test_planted_errors_are_caught(md):
+    assert verify(md).ok
+    rng = random.Random(md.rank)
+    r = md.rank
+    # an S entry and its mirror multiplied by zeta_3
+    for _ in range(3):
+        a, b = sorted((rng.randrange(1, r), rng.randrange(1, r)))
+        S = [list(row) for row in md.S]
+        S[a][b] = S[b][a] = S[a][b] * root_of_unity(3, 1)
+        bad = ModularDatum(md.labels, S, md.T)
+        want = reference_unitarity(bad)
+        assert want and _unitarity_witness(bad) == want
+        assert not verify(bad).ok
+    # one rounded fusion multiplicity raised by 1
+    planes = _verlinde_float(md)
+    assert _verlinde_certified(md, planes)
+    for _ in range(3):
+        x, z = rng.randrange(r), rng.randrange(r)
+        y = rng.randrange(x + 1)
+        raised = [list(plane) for plane in planes]
+        raised[x][y] = tuple(k + (i == z) for i, k in enumerate(raised[x][y]))
+        assert not _verlinde_certified(md, raised)
+        N = complete(raised)
+        want = reference_balancing(md, N)
+        assert want == f"balancing fails at ({md.labels[y]}, {md.labels[x]})"
+        assert _balancing_witness(md, N) == want
+
+
+def test_verify_makes_few_field_products(monkeypatch):
+    md = deligne_product(so5_level9(1), so5_level9(2))
+    real = Cyc.__mul__
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    monkeypatch.setattr(Cyc, "__rmul__", counted)
+    assert verify(md).ok
+    assert calls <= 10 * md.rank, calls
+
+
+def test_residue_bounds_cover_every_relation(monkeypatch):
+    # each ring must be chosen for a bound at least the factor bound
+    # sum ||a||_1 ||b||_1 + ||c||_1 of every relation it decides
+    made = []
+
+    class Recorded(modular.ResidueMap):
+        __slots__ = ()
+
+        def __init__(self, conductor, bound):
+            made.append(bound)
+            super().__init__(conductor, bound)
+
+    monkeypatch.setattr(modular, "ResidueMap", Recorded)
+    for md in (*planted_data(), deligne_product(ising(3, -1), fibonacci(2)), so5_level9(4)):
+        made.clear()
+        assert verify(md).ok
+        r, S = md.rank, md.S
+        L = math.lcm(*(e.den for row in S for e in row))
+        A = [[sum(map(abs, e.num)) * L // e.den for e in row] for row in S]
+        D = global_dim(md)
+        unitarity = max(
+            sum(A[i][k] * A[j][k] for k in range(r))
+            + (sum(map(abs, D.num)) * L * L // D.den if i == j else 0)
+            for i in range(r) for j in range(r)
+        )
+        N = verlinde_fusion(md).N
+        verlinde = max(
+            sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
+            for x in range(r) for y in range(r) for c in range(r)
+        )
+        balancing = max(
+            A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
+            for x in range(r) for y in range(r)
+        )
+        assert len(made) == 3, md.name
+        assert made[0] >= unitarity and made[1] >= verlinde and made[2] >= balancing, md.name
