@@ -210,6 +210,13 @@ def gauss_sum(md: ModularDatum, sign: int = 1) -> Cyc:
     """sum_X dim(X)^2 theta_X^(sign) with theta_X the inverse of T[X]."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    return _gauss_sum(md, sign)
+
+
+@_kept_on_datum
+def _gauss_sum(md: ModularDatum, sign: int) -> Cyc:
+    """`gauss_sum` for a checked sign, kept on the datum under one key per
+    sign whether the sign was passed by position, by keyword or by default."""
     d = dims(md)
     acc = rational(0)
     for i in range(md.rank):
@@ -291,14 +298,6 @@ class FusionTensor:
 
 
 @_kept_on_datum
-def _lifted_s(md: ModularDatum) -> tuple[tuple[Cyc, ...], ...]:
-    """S with every entry lifted to the lcm of the entry conductors, so that
-    equal entries have equal (den, num)."""
-    m = math.lcm(*(e.n for row in md.S for e in row))
-    return tuple(tuple(e.lift(m) for e in row) for row in md.S)
-
-
-@_kept_on_datum
 def _integral_s(md: ModularDatum) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """L, the lcm of the S denominators, so that L S lies in Z[zeta_N]; N,
     the lcm of the S conductors; and the norms ||L S[x][y]||_1 that bound
@@ -312,6 +311,29 @@ def _integral_s(md: ModularDatum) -> tuple[int, int, tuple[tuple[int, ...], ...]
 def _norm1(e: Cyc, scale: int) -> int:
     """||scale * e||_1 on the power basis."""
     return sum(map(abs, e.num)) * (scale // e.den)
+
+
+@_kept_on_datum
+def _unitarity_images(md: ModularDatum):
+    """The ring that decides unitarity, and the images of the rows of A = L S
+    and of conj(A) in it, one tuple of residues per row.
+
+    The bound is the largest row sum of ||A[i][k]||_1^2 plus ||L^2 D||_1,
+    which covers every entry of A conj(A)^T - L^2 D I (see
+    `_unitarity_witness`).  It also decides equality of two entries of A
+    or conj(A): the difference of A[i][k] and conj(A[j][k]) has every
+    |sigma| at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, with top the
+    largest ||A[x][y]||_1, since conjugation keeps the 1-norm.  The row that
+    holds top contributes top^2, and L^2 D is integral and nonzero, so its
+    1-norm is at least 1: the bound is at least top^2 + 1 >= 2 top.  So
+    two rows are equal exactly when their residue tuples are.
+    """
+    D = global_dim(md)
+    L, N, norms = _integral_s(md)
+    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
+    a = tuple(tuple(ring(e, L) for e in row) for row in md.S)
+    abar = tuple(tuple(ring(e, L, -1) for e in row) for row in md.S)
+    return ring, a, abar
 
 
 @_kept_on_datum
@@ -333,11 +355,9 @@ def _unitarity_witness(md: ModularDatum) -> str:
     r = md.rank
     S = md.S
     D = global_dim(md)
-    L, N, norms = _integral_s(md)
-    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
+    L = _integral_s(md)[0]
+    ring, a, abar = _unitarity_images(md)
     m = ring.modulus
-    a = [[ring(e, L) for e in row] for row in S]
-    abar = [[ring(e, L, -1) for e in row] for row in S]
     d = ring(D, L * L)
     for i in range(r):
         for j in range(i, r):
@@ -359,7 +379,13 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     not a nonnegative integer (or a column of S is zero at the unit row).
 
     The values are evaluated in floating point and rounded, then accepted
-    only after an exact certificate: S Sbar^T = D I, and
+    only after an exact certificate.  The float step uses the S_3 symmetry
+    of N_abc = N[a][b][c*]: with conj(S[z][c]) = S[z*][c] for modular data,
+    the formula becomes sum_c S[a][c] S[b][c] S[c'][c] / (D S[0][c]) with
+    c' = z*, symmetric in a, b and c', so one value per sorted triple
+    suffices.  Its c' = 0 slice is (S^2)[a][b] / D = [b = a*], which gives
+    the duals that turn the sorted values back into N (see
+    `_verlinde_float`).  The certificate is S Sbar^T = D I, and
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
@@ -395,7 +421,29 @@ def _fusion_from_planes(md: ModularDatum, planes) -> FusionTensor:
 def _verlinde_float(md: ModularDatum):
     """N[x][y] for y <= x from the Verlinde formula in floating point,
     rounded to integers; None when a value is not within 0.25 of a
-    nonnegative integer or does not fit in a float."""
+    nonnegative integer or does not fit in a float, or when the duals
+    cannot be read off.
+
+    The loop evaluates
+
+        M[a][b][c] = sum_s S[a][s] S[b][s] S[c][s] / (D S[0][s])
+
+    only for c <= b <= a, rounding and rejecting each value as above:
+    r(r+1)(r+2)/6 dot products of length r, where the formula for N over
+    y <= x takes r^2(r+1)/2.  M is symmetric in a, b and c.  For modular
+    data Sbar = S C and S = S^T give conj(S[z][s]) = S[z*][s], so
+    M[a][b][c] = N[a][b][c*], the coefficient N_abc of Bakalov and Kirillov
+    ("Lectures on tensor categories and modular functors", 2001, 3.1),
+    which is invariant under all of S_3.  Its c = 0 slice is
+    M[a][b][0] = (S^2)[a][b] / D = [b = a*], so the duals come for free:
+    each row of that slice must hold one 1 and zeros, else the result is
+    None.  Then N[x][y][z] = M[x][y][z*], read from the sorted store.
+
+    None of this is assumed: `verlinde_fusion` accepts the planes only
+    after `_verlinde_certified`, which checks every y <= x and every
+    column, so a datum without charge conjugation can only fail the
+    certificate and fall back to the exact formula.  Only the r^3/6 values of M are stored, never a full cube.
+    """
     zetas: dict[int, list[complex]] = {}
 
     def approx(e: Cyc) -> complex:
@@ -411,24 +459,40 @@ def _verlinde_float(md: ModularDatum):
     try:
         S = [[approx(e) for e in row] for row in md.S]
         D = approx(global_dim(md))
-        W = [[S[z][c].conjugate() / (D * S[0][c]) for c in range(r)] for z in range(r)]
-        planes = []
-        for x in range(r):
-            plane = []
-            for y in range(x + 1):
-                pxy = [a * b for a, b in zip(S[x], S[y])]
+        W = [[S[c][s] / (D * S[0][s]) for s in range(r)] for c in range(r)]
+        # M[a][b] holds the rounded M[a][b][c] for c <= b <= a
+        M = []
+        for a in range(r):
+            Ma = []
+            for b in range(a + 1):
+                pab = list(map(operator.mul, S[a], S[b]))
                 row = []
-                for w in W:
-                    v = sum(map(operator.mul, pxy, w))
+                for w in W[: b + 1]:
+                    v = sum(map(operator.mul, pab, w))
                     k = round(v.real)
                     if k < 0 or not abs(v - k) <= 0.25:
                         return None
                     row.append(k)
-                plane.append(tuple(row))
-            planes.append(plane)
+                Ma.append(row)
+            M.append(Ma)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    return planes
+
+    def line(x, y):
+        """M at the sorted (x, y, w) for every w, given y <= x."""
+        return (
+            M[x][y]
+            + [M[x][w][y] for w in range(y + 1, x + 1)]
+            + [M[w][x][y] for w in range(x + 1, r)]
+        )
+
+    duals = []
+    for x in range(r):
+        unit = line(x, 0)
+        if sum(unit) != 1:
+            return None
+        duals.append(unit.index(1))
+    return [[tuple(map(line(x, y).__getitem__, duals)) for y in range(x + 1)] for x in range(r)]
 
 
 def _verlinde_certified(md: ModularDatum, planes) -> bool:
@@ -549,16 +613,16 @@ def verify(md: ModularDatum) -> VerificationReport:
     its prerequisites: it passes exactly when charge conjugation and
     Verlinde integrality both pass.
 
-    Unitarity, the Verlinde certificate and balancing are decided in Z/m,
-    one integer per field element (`ResidueMap`).  With L the lcm of the S
-    denominators, L S and L^2 D lie in Z[zeta_N], and zeta_N -> w = 2^b
-    maps Z[zeta_N] onto Z/m with m = |Phi_N(w)| > B^phi(N).  Each relation
-    is a difference x = sum_k a_k b_k - c of integral values, and
-    B = sum_k ||a_k||_1 ||b_k||_1 + ||c||_1, taken through the factors,
-    bounds every |sigma(x)|.  If x != 0 mapped to 0, m would divide the
-    norm of x, which lies strictly between 0 and B^phi(N) < m in absolute
-    value.  So each relation is decided exactly, and the first failing
-    index is reported.
+    Unitarity, charge conjugation, the Verlinde certificate and balancing
+    are decided in Z/m, one integer per field element (`ResidueMap`).  With
+    L the lcm of the S denominators, L S and L^2 D lie in Z[zeta_N], and
+    zeta_N -> w = 2^b maps Z[zeta_N] onto Z/m with m = |Phi_N(w)| >
+    B^phi(N).  Each relation is a difference x = sum_k a_k b_k - c of
+    integral values, and B = sum_k ||a_k||_1 ||b_k||_1 + ||c||_1, taken
+    through the factors, bounds every |sigma(x)|.  If x != 0 mapped to 0,
+    m would divide the norm of x, which lies strictly between 0 and
+    B^phi(N) < m in absolute value.  So each relation is decided exactly,
+    and the first failing index is reported.
     """
     checks: list[Check] = []
     labels = md.labels
@@ -577,18 +641,14 @@ def verify(md: ModularDatum) -> VerificationReport:
 
     # given symmetry and S Sbar = D I, S^2 = D C exactly when Sbar = S C,
     # that is when conjugating column j of S gives column C(j); S is
-    # symmetric, so its rows serve as its columns
+    # symmetric, so its rows serve as its columns.  Rows are matched by
+    # their residues in the unitarity ring, which decides entry equality
+    # exactly (see `_unitarity_images`)
     charge_bad = "prerequisite check failed"
     if not unitary_bad:
-        def key(row):
-            return tuple((e.den, e.num) for e in row)
-
-        L = _lifted_s(md)
-        where = {key(row): j for j, row in enumerate(L)}
-        miss = next(
-            (j for j, row in enumerate(L) if key(map(Cyc.conj, row)) not in where),
-            None,
-        )
+        _, a, abar = _unitarity_images(md)
+        rows = set(a)
+        miss = next((j for j, row in enumerate(abar) if row not in rows), None)
         # with no miss, C is an involution fixing the unit: S Sbar = D I
         # makes the columns distinct, and sum |d|^2 = sum d^2 makes d real
         charge_bad = (

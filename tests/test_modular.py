@@ -11,7 +11,7 @@ import pytest
 
 from mdtk import modular
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.cyclo import Cyc, RootOfUnity, rational, root_of_unity
+from mdtk.cyclo import Cyc, RootOfUnity, euler_phi, rational, root_of_unity
 from mdtk.construct import (
     MetricGroup,
     deligne_product,
@@ -544,8 +544,26 @@ def complete(planes):
     return tuple(tuple(planes[max(x, y)][min(x, y)] for y in range(r)) for x in range(r))
 
 
+def sign_flipped(md, x):
+    """E S E with E = diag(1, ..., -1 at x, ..., 1), and the same T."""
+    E = [-1 if i == x else 1 for i in range(md.rank)]
+    S = [[e * E[i] * E[j] for j, e in enumerate(row)] for i, row in enumerate(md.S)]
+    return ModularDatum(md.labels, S, md.T, name=f"{md.name}~flipped")
+
+
+def reference_charge(md):
+    """The witness of the first column whose conjugate is no column of S,
+    matched entry by entry with `Cyc.__eq__`, or ""."""
+    r, S = md.rank, md.S
+    for j in range(r):
+        conj = [S[x][j].conj() for x in range(r)]
+        if not any(all(S[x][z] == conj[x] for x in range(r)) for z in range(r)):
+            return f"the conjugate of column {md.labels[j]} is not a column of S"
+    return ""
+
+
 def test_verify_decisions_match_field_references():
-    failing = unitary_bad = balancing_bad = certified = 0
+    failing = unitary_bad = balancing_bad = certified = charge_bad = 0
     for md in _seeded_data(20241102, 120):
         checks = {c.name: c for c in verify(md).checks}
         failing += not all(c.passed for c in checks.values())
@@ -557,6 +575,15 @@ def test_verify_decisions_match_field_references():
         unitary_bad += bool(want)
         got = checks["s-unitary-scale"]
         assert (got.passed, got.witness) == (not want, want), md.name
+        if not want:
+            # flipping the sign of a row and column keeps S symmetric and
+            # unitary, and breaks charge conjugation when the object is not
+            # self-dual
+            for datum in (md, sign_flipped(md, md.rank - 1)):
+                want = reference_charge(datum)
+                charge_bad += bool(want)
+                got = {c.name: c for c in verify(datum).checks}["charge-conjugation"]
+                assert (got.passed, got.witness) == (not want, want), md.name
         planes = None
         if not want and all(not e.is_zero() for e in md.S[0]):
             planes = _verlinde_float(md)
@@ -578,6 +605,7 @@ def test_verify_decisions_match_field_references():
         assert (got.passed, got.witness) == (not want, want), md.name
     assert failing >= 50 and unitary_bad >= 20 and balancing_bad >= 20, (
         failing, unitary_bad, balancing_bad)
+    assert charge_bad >= 10, charge_bad
     assert certified >= 80, certified
 
 
@@ -666,5 +694,121 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
             A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
             for x in range(r) for y in range(r)
         )
+        # the unitarity ring also matches entries of L S and L conj(S)
+        charge = 2 * max(map(max, A))
         assert len(made) == 3, md.name
-        assert made[0] >= unitarity and made[1] >= verlinde and made[2] >= balancing, md.name
+        assert made[0] >= max(unitarity, charge), md.name
+        assert made[1] >= verlinde and made[2] >= balancing, md.name
+
+
+# ------------------------------------------ the symmetric float Verlinde fill
+
+
+def reference_verlinde_float(md):
+    """The Verlinde formula in floating point over every z and every y <= x,
+    r^2 (r + 1) / 2 dot products, rounded to integers; None when a value is
+    not within 0.25 of a nonnegative integer or does not fit in a float."""
+    zetas = {}
+
+    def approx(e):
+        zs = zetas.get(e.n)
+        if zs is None:
+            t = 2 * math.pi / e.n
+            zs = zetas[e.n] = [
+                complex(math.cos(t * k), math.sin(t * k)) for k in range(euler_phi(e.n))
+            ]
+        return sum(v * z for v, z in zip(e.num, zs) if v) / e.den
+
+    r = md.rank
+    try:
+        S = [[approx(e) for e in row] for row in md.S]
+        D = approx(global_dim(md))
+        W = [[S[z][c].conjugate() / (D * S[0][c]) for c in range(r)] for z in range(r)]
+        planes = []
+        for x in range(r):
+            plane = []
+            for y in range(x + 1):
+                pxy = [a * b for a, b in zip(S[x], S[y])]
+                row = []
+                for w in W:
+                    v = sum(map(operator.mul, pxy, w))
+                    k = round(v.real)
+                    if k < 0 or not abs(v - k) <= 0.25:
+                        return None
+                    row.append(k)
+                plane.append(tuple(row))
+            planes.append(plane)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return planes
+
+
+def test_symmetric_fill_matches_reference_loop():
+    # pointed-c7, pointed-c27 and ising x pointed-c9 have a charge
+    # conjugation that is not the identity, so the fill must apply it
+    nontrivial = [cyclic_metric(7, 7, lambda g: 3 * g * g, name="pointed-c7"), *planted_data()]
+    for md in nontrivial:
+        assert verlinde_fusion(md).duals != tuple(range(md.rank)), md.name
+    # _seeded_data starts with the builtins
+    compared = 0
+    for md in nontrivial + _seeded_data(20241102, 120):
+        if not verify(md).ok:
+            continue
+        want = reference_verlinde_float(md)
+        assert want is not None, md.name
+        assert _verlinde_float(md) == want, md.name
+        compared += 1
+    assert compared >= 60, compared
+
+
+def test_no_dual_in_the_unit_slice_means_no_float_planes(monkeypatch):
+    one = rational(1)
+    # all-ones S: every M[a][b][c] is 1, so each row of the unit slice
+    # holds two 1s and no object has a unique dual
+    degenerate = ModularDatum(("1", "x"), ((one, one), (one, one)),
+                              (RootOfUnity.one(), RootOfUnity.make(2, 1)))
+    assert _verlinde_float(degenerate) is None
+    # for a unitary S the unit slice S^2 / D is unitary, so it is a
+    # permutation once it rounds to nonnegative integers; these two
+    # unitary data have no charge conjugation, and the slice is not one
+    c3 = pointed_c3()
+    g1, g2 = 1, 2
+    U = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    U[g1][g1], U[g1][g2], U[g2][g1], U[g2][g2] = (
+        Fraction(3, 5), Fraction(4, 5), Fraction(-4, 5), Fraction(3, 5))
+    rotated = [
+        [sum((rational(U[i][k] * U[j][l]) * c3.S[k][l] for k in range(3) for l in range(3)),
+             rational(0)) for j in range(3)]
+        for i in range(3)
+    ]
+
+    def unitary():
+        return [sign_flipped(c3, g1), ModularDatum(c3.labels, rotated, c3.T, name="rotated")]
+
+    for md in unitary():
+        assert not _unitarity_witness(md), md.name
+        assert _verlinde_float(md) is None, md.name
+    reports = [str(verify(md)) for md in unitary()]
+    # the same report when the float step is skipped and the exact formula
+    # is the only path
+    monkeypatch.setattr(modular, "_verlinde_float", lambda md: None)
+    assert [str(verify(md)) for md in unitary()] == reports
+
+
+def test_gauss_sum_is_evaluated_once_per_sign(monkeypatch):
+    md = deligne_product(ising(1, 1), pointed_c5())
+    real = RootOfUnity.__pow__
+    exponents = []
+
+    def counted(t, e):
+        exponents.append(e)
+        return real(t, e)
+
+    monkeypatch.setattr(RootOfUnity, "__pow__", counted)
+    verify(md)
+    normalized_t_order(md)
+    # an evaluation of gauss_sum(md, sign) raises every T entry to -sign
+    assert exponents.count(-1) == md.rank
+    assert exponents.count(1) == 0
+    assert gauss_sum(md, sign=1) is gauss_sum(md) is gauss_sum(md, 1)
+    assert exponents.count(-1) == md.rank
