@@ -442,7 +442,8 @@ def _verlinde_float(md: ModularDatum):
     None of this is assumed: `verlinde_fusion` accepts the planes only
     after `_verlinde_certified`, which checks every y <= x and every
     column, so a datum without charge conjugation can only fail the
-    certificate and fall back to the exact formula.  Only the r^3/6 values of M are stored, never a full cube.
+    certificate and fall back to the exact formula.  Only the r^3/6 values
+    of M are stored, never a full cube.
     """
     zetas: dict[int, list[complex]] = {}
 

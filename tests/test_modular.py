@@ -580,10 +580,10 @@ def test_verify_decisions_match_field_references():
             # unitary, and breaks charge conjugation when the object is not
             # self-dual
             for datum in (md, sign_flipped(md, md.rank - 1)):
-                want = reference_charge(datum)
-                charge_bad += bool(want)
+                cwant = reference_charge(datum)
+                charge_bad += bool(cwant)
                 got = {c.name: c for c in verify(datum).checks}["charge-conjugation"]
-                assert (got.passed, got.witness) == (not want, want), md.name
+                assert (got.passed, got.witness) == (not cwant, cwant), md.name
         planes = None
         if not want and all(not e.is_zero() for e in md.S[0]):
             planes = _verlinde_float(md)
@@ -606,7 +606,7 @@ def test_verify_decisions_match_field_references():
     assert failing >= 50 and unitary_bad >= 20 and balancing_bad >= 20, (
         failing, unitary_bad, balancing_bad)
     assert charge_bad >= 10, charge_bad
-    assert certified >= 80, certified
+    assert certified >= 119, certified
 
 
 def planted_data():
