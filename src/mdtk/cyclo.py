@@ -16,8 +16,9 @@ drops to a subfield by a stride of the power basis or by a relative trace.
 element; with m chosen from an a-priori bound on the values, it decides
 equality exactly with big-integer products instead of field products.
 
-All arithmetic is exact.  Floating point enters only through `Cyc.embed`,
-which returns a certified complex interval (midpoint plus radius) used for
+All arithmetic is exact, and there is no floating point.  `Cyc.embed`
+evaluates the principal embedding in integer fixed point and returns an
+exact dyadic ball (midpoint plus radius, with a proven error bound) used for
 sign decisions; every sign decision first runs an exact zero test, so the
 interval loop terminates.
 """
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-import mpmath
 
 __all__ = [
     "Cyc",
@@ -208,14 +207,49 @@ def _power_basis(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @dataclass(frozen=True)
 class ComplexInterval:
-    """Complex ball: |true value - (re + i*im)| <= radius."""
+    """Exact dyadic complex ball: re, im and radius are Fractions whose
+    denominators are powers of 2, and |true value - (re + i*im)| <= radius."""
 
-    re: object
-    im: object
-    radius: object
+    re: Fraction
+    im: Fraction
+    radius: Fraction
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+def _arctan_inv(x: int, w: int) -> tuple[int, int]:
+    """(a, k): a is within 2k + 1 of 2**w * arctan(1/x), summing k terms of
+    its series with floor division (proof in `Cyc.embed`, step 1)."""
+    a = k = 0
+    p = (1 << w) // x
+    while p:
+        t = p // (2 * k + 1)
+        a += -t if k & 1 else t
+        p //= x * x
+        k += 1
+    return a, k
+
+
+def _unit_root(n: int, w: int) -> tuple[int, int, int]:
+    """(c, s, e): |(c + i*s) / 2**w - exp(2*pi*i/n)| <= e / 2**w for n >= 3
+    and w >= 8 (proof in `Cyc.embed`, steps 1 to 3)."""
+    a5, k5 = _arctan_inv(5, w)
+    a239, k239 = _arctan_inv(239, w)
+    e_pi = 32 * k5 + 8 * k239 + 20
+    theta = (32 * a5 - 8 * a239) // n
+    c = s = k = 0
+    r = 1 << w
+    while r:
+        t = -r if k & 2 else r
+        if k & 1:
+            s += t
+        else:
+            c += t
+        k += 1
+        r = r * theta // (k << w)
+    tau = 4 * k + 81
+    return c, s, (3 * tau + 1) // 2 - (-2 * e_pi // n) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +576,85 @@ class Cyc:
 
     def embed(self, precision: int = 53) -> ComplexInterval:
         """Certified complex ball around the principal embedding
-        zeta_n -> exp(2*pi*i/n), with radius at most 2**-(precision+1)."""
-        scale = sum(abs(v) for v in self.num) // self.den + 2
-        guard = scale.bit_length() + (len(self.num) + 3).bit_length() + 12
-        with mpmath.workprec(precision + guard):
-            z = mpmath.mpc(0)
-            for i, v in enumerate(self.num):
-                if v:
-                    z += v * mpmath.expjpi(mpmath.mpf(2 * i) / self.n)
-            z = z / self.den
-            rad = mpmath.mpf(2) ** (-(precision + 1))
-            return ComplexInterval(z.real, z.imag, rad)
+        zeta_n -> exp(2*pi*i/n), with radius at most 2**-(precision+1).
+
+        The ball is exact and dyadic, and it is computed with Python
+        integers only: every integer X below stands for X * u, u = 2**-w,
+        and errors are counted in ulps u.  The value is sum v_i zeta**i / den
+        over the numerators v_i; top is the last i with v_i != 0 and
+        weight = sum i * |v_i|.  precision is a nonnegative integer.
+
+        1. pi.  `_arctan_inv(x, w)` adds t_k = floor(p_k / (2k+1)) with
+           alternating signs, where p_k = floor(2**w / x**(2k+1)) (repeated
+           floor division by x**2 composes exactly), and stops at the first
+           p_K = 0.  Each t_k lies below the true term
+           T_k = 2**w / ((2k+1) x**(2k+1)) by less than 1/(2k+1) + 1 <= 2.
+           p_K = 0 gives T_K < 1, and the terms decrease, so the tail from
+           k = K is at most T_K < 1.
+           The sum is within 2K + 1 of 2**w arctan(1/x).  By Machin's
+           formula pi = 16 arctan(1/5) - 4 arctan(1/239), so
+           Pi = 16 a_5 - 4 a_239 is within e_pi = 32 K_5 + 8 K_239 + 20 of
+           2**w pi.
+        2. theta = 2 pi / n, n >= 3.  Theta = floor(2 Pi / n) is within
+           delta < 2 e_pi / n + 1 of 2**w theta.  As x**(2k+1) <= 2**w for
+           k < K, K_5 <= w / 4.6 + 1/2 and K_239 <= w / 15.8 + 1/2, so
+           e_pi <= 7.5 w + 40 < 2**w / 2 when w >= 8.  The evaluated angle
+           t = Theta * u then satisfies 0 < t < (2/3)(pi + 1/2) < 3.
+        3. exp(i t).  r_0 = 2**w and r_k = floor(r_{k-1} Theta / (k 2**w))
+           until r_K = 0; r_k goes to the real part c or the imaginary part
+           s with the sign of i**k.  The true term R_k = 2**w t**k / k!
+           exceeds r_k by d_k < d_{k-1} t / k + 1, so with t < 3:
+           d_1 < 1, d_2 < 2.5, d_3 < 3.5, d_4 < 3.7, and d_k < 1 + 4 * 3/5
+           < 4 from k = 5 on.  As r_K = 0, R_K < 4 and the tail is
+           sum_{k >= K} R_k <= R_K e**t < 4 e**3 < 81.  So c and s are each
+           within tau = 4K + 81 of 2**w cos t and 2**w sin t.  Since
+           |exp(i t) - exp(i theta)| <= |t - theta|, c + i*s is within
+           e_1 = ceil(3 tau / 2) + ceil(2 e_pi / n) + 1 >= sqrt(2) tau + delta
+           of 2**w zeta.
+        4. Powers.  z_0 = 2**w and z_{k+1} = z_k z_1 / 2**w, each part
+           floored (under sqrt(2) ulps in all).  With eps_k the error of
+           z_k and |zeta**k| = 1,
+           eps_{k+1} <= eps_k (1 + e_1 u) + e_1 + sqrt(2).
+           If top (e_1 + 2) e_1 <= 2**(w-1), induction gives
+           eps_k <= k (e_1 + 2) for k <= top: eps_k e_1 u <= 1/2, and
+           1/2 + sqrt(2) < 2.
+        5. Sum.  X = sum v_i z_i is within sum |v_i| eps_i
+           <= (e_1 + 2) weight of 2**w den * value, and flooring
+           X / den adds under sqrt(2) < 2.  The ball around the floored
+           midpoint with radius err * u,
+           err = ceil((e_1 + 2) weight / den) + 2, holds the value.
+
+        A rational value (weight = 0) needs no zeta: err = 2 at
+        w = precision + 2.  Otherwise top >= 1, so phi(n) >= 2 and n >= 3,
+        and w starts from a guess of at least precision + 8 >= 8 and grows
+        until err <= 2**(w - precision - 1) and top (e_1 + 2) e_1 <= 2**(w-1).
+        Both hold for large w, because r_k = 0 once 3**k / k! < 2**-w, so
+        K and e_1 grow like w.  The radius bound therefore holds on
+        return.
+        """
+        num, den = self.num, self.den
+        weight = sum(i * abs(v) for i, v in enumerate(num))
+        top = max((i for i, v in enumerate(num) if v), default=0)
+        w, c1, s1, err = precision + 2, 0, 0, 2
+        if weight:
+            w += 6 + precision.bit_length() + (weight // den).bit_length()
+            while True:
+                c1, s1, e1 = _unit_root(self.n, w)
+                err = -(-(e1 + 2) * weight // den) + 2
+                if err <= 1 << (w - precision - 1) and top * (e1 + 2) * e1 <= 1 << (w - 1):
+                    break
+                w += 8
+        re = im = 0
+        c, s = 1 << w, 0
+        for v in num[: top + 1]:
+            if v:
+                re += v * c
+                im += v * s
+            c, s = (c * c1 - s * s1) >> w, (c * s1 + s * c1) >> w
+        one = 1 << w
+        return ComplexInterval(
+            Fraction(re // den, one), Fraction(im // den, one), Fraction(err, one)
+        )
 
     def sign(self) -> int:
         """Sign of a totally real value under the principal embedding.
