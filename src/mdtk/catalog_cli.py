@@ -304,7 +304,7 @@ def catalog_sweep(out=None) -> bool:
         verdict = bound_check(md, classify=True)
         if not verdict.bound_holds:
             clean = False
-        grep = verify_galois_identities(md, generators_only=True)
+        grep = verify_galois_identities(md)
         if not grep.ok:
             clean = False
             emit(f"[FAIL] {name} galois: " + "; ".join(c.name for c in grep.failures))
@@ -657,7 +657,3 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

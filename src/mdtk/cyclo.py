@@ -738,6 +738,9 @@ class Cyc:
             )
         nums, dens = [], []
         for pair in c:
+            # a string or a dict of two items would unpack as a pair too
+            if type(pair) is not list:
+                raise ValueError(f"coefficient {pair!r} is not a [num, den] list")
             num, den = pair
             den = _json_int(den)
             if den == 0:

@@ -7,12 +7,9 @@ S[x][y] / S[0][y] against the original ones; the working conductor is the
 lcm of 12 times the T order with the conductors of the stored S entries,
 which contains every value the identities mention.
 
-The ratio columns lie in Q(zeta_m), m the lcm of the S entry conductors,
-which divides the working conductor N.  So sigma-hat_k depends only on
-k mod m (Coste-Gannon, Phys. Lett. B 1994; Dong-Lin-Ng, ANT 2015): it is
-computed once per residue mod m and shared by every unit mod N in that
-class.  The dimensions and D lie in Q(zeta_m) too, so the dimension
-identity is checked once per residue, which still covers every unit.
+Every identity and every orbit is decided on the generators of (Z/N)*, N
+the working conductor; the other units are swept only to locate the first
+failure (see `_first_failure`).
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from .modular import (
     NotModularError,
     VerificationReport,
     _kept_on_datum,
+    _s_conductor,
     dims,
     fs_exponent,
     global_dim,
@@ -68,11 +66,7 @@ class GaloisPermutation:
 def working_conductor(md: ModularDatum) -> int:
     """Conductor of a cyclotomic field containing the S entries and every
     normalized T entry: lcm of 12 * (T order) and the stored S conductors."""
-    N = 12 * fs_exponent(md)
-    for row in md.S:
-        for e in row:
-            N = math.lcm(N, e.n)
-    return N
+    return math.lcm(12 * fs_exponent(md), _s_conductor(md))
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class _RatioColumns:
 def _ratio_columns(md: ModularDatum) -> _RatioColumns:
     r = md.rank
     S = md.S
-    m = math.lcm(*(e.n for row in S for e in row))
+    m = _s_conductor(md)
     values: list[Cyc] = []
     ids: dict = {}
     columns = []
@@ -166,36 +160,67 @@ def galois_permutation(md: ModularDatum, k: int) -> GaloisPermutation:
     return GaloisPermutation(k, tuple(h[0] for h in hits), md.labels)
 
 
-def _first_per_class(ks, m: int):
-    """The first k of each residue class mod m, in the order given."""
-    seen = set()
-    for k in ks:
-        if k % m not in seen:
-            seen.add(k % m)
-            yield k
+def _first_failure(md: ModularDatum, fails):
+    """The first unit k mod N, the working conductor, at which fails(k)
+    returns a witness, or None.  fails runs at the generators of (Z/N)*,
+    and at every unit, in increasing order, only once one of them fails.
 
-
-def _distinct_permutations(md: ModularDatum, squares: bool) -> list[GaloisPermutation]:
-    """sigma-hat at the first unit k mod N of each class mod the ratio
-    conductor (at k^2 with squares), which are all the distinct ones; a
-    failure is raised at the same k as a sweep over every unit would."""
+    Each fails used here passes on a set of units closed under products,
+    which in a finite group is a subgroup, so the generators decide it.
+    - sigma-hat exists.  Coinciding columns fail at every g: sigma_g
+      permutes the distinct column values (or some image is no column), so
+      some image hits the repeated value and matches twice.  Otherwise
+      sigma_jk = sigma_j sigma_k maps column y to the one column
+      sigma-hat_j(sigma-hat_k(y)), so sigma-hat_jk = sigma-hat_j sigma-hat_k.
+    - sigma-hat exists at k^2: the k with k^2 in a subgroup form one.
+    - The identities, once sigma-hat exists everywhere: with
+      f(X) = dim(X)^2 / D, sigma_jk(f(X)) = sigma_j(f(sigma-hat_k X)) =
+      f(sigma-hat_jk X), and t[X]^((jk)^2) = t[sigma-hat_k X]^(j^2) =
+      t[sigma-hat_jk X].
+    - Orbits: the sigma-hat_g generate the image of sigma-hat, and the
+      sigma-hat_(g^2) that of the squares; an orbit is the closure under
+      the generators.
+    """
     N = working_conductor(md)
-    m = _ratio_columns(md).conductor
-    ks = ((k * k) % N for k in units_mod(N)) if squares else units_mod(N)
-    return [galois_permutation(md, k) for k in _first_per_class(ks, m)]
+    if not any(map(fails, unit_group_generators(N) or (1,))):
+        return None
+    return next(filter(None, map(fails, units_mod(N))))
+
+
+def _permutation_error(md: ModularDatum, k: int):
+    """The error galois_permutation(md, k) raises, or None."""
+    try:
+        galois_permutation(md, k)
+    except (NotModularError, DegenerateDataError) as e:
+        return e
+
+
+def _closure(md: ModularDatum, label: str, power: int) -> set[int]:
+    """The objects reached from the given one by sigma-hat at the k^power,
+    as the closure under the generators (see `_first_failure`)."""
+    x = md.index(label)
+    N = working_conductor(md)
+    error = _first_failure(md, lambda k: _permutation_error(md, pow(k, power, N)))
+    if error:
+        raise error
+    gens = unit_group_generators(N) or (1,)
+    perms = [galois_permutation(md, pow(g, power, N)).mapping for g in gens]
+    reached = frontier = {x}
+    while frontier:
+        frontier = {p[y] for p in perms for y in frontier} - reached
+        reached = reached | frontier
+    return reached
 
 
 def orbit(md: ModularDatum, label: str) -> set[str]:
     """Labels reachable from the given object under all sigma-hat."""
-    x = md.index(label)
-    return {md.labels[p.index(x)] for p in _distinct_permutations(md, False)}
+    return {md.labels[i] for i in _closure(md, label, 1)}
 
 
 def orbit_t(md: ModularDatum, label: str) -> tuple[set[str], Cyc]:
     """The suborbit of the object under the squared units (the image of
     sigma-hat restricted to k^2) and the sum of squared dimensions over it."""
-    x = md.index(label)
-    idxs = {p.index(x) for p in _distinct_permutations(md, True)}
+    idxs = _closure(md, label, 2)
     d = dims(md)
     total = rational(0)
     for i in idxs:
@@ -233,8 +258,7 @@ def bar_category(md: ModularDatum) -> ModularDatum:
     N = working_conductor(md)
     reps = []
     seen: list[Cyc] = []
-    # D.galois(k) depends only on k mod the conductor of D
-    for k in _first_per_class(units_mod(N), D.n):
+    for k in units_mod(N):
         v = D.galois(k)
         if not any(v == w for w in seen):
             seen.append(v)
@@ -264,73 +288,49 @@ def verify_galois_identities(
 
         sigma^2(t[X]) = t[sigma-hat X].
 
-    By default every unit of the working conductor is swept.  The
-    dimension identity at k involves only d, D and sigma-hat_k, which all
-    depend on k through k mod m, the lcm of the S entry conductors
-    (Coste-Gannon, Phys. Lett. B 1994), so it runs on the first unit of
-    each class mod m: this covers every unit, and the first failure is
-    reported at the same k as a check of every unit would report it.  The
-    t-squared identity runs on every unit.  With generators_only the
-    pointwise identities run on the unit group generators alone; since
-    each identity for a product of units follows from the identities for
-    the factors, this is a sound spot check.
+    Each check holds at every unit of the working conductor exactly when
+    it holds at the generators of the unit group, so it runs there, and a
+    failure is reported at the first failing unit (see `_first_failure`).
+    generators_only is accepted and has no effect.
 
     Multiplicativity is decided by its prerequisite: once the permutation
-    exists at the units swept, sigma-hat_jk = sigma-hat_j sigma-hat_k for
-    all units j, k, so the check passes whenever it is reached.
+    exists at every unit, sigma-hat_jk = sigma-hat_j sigma-hat_k for all
+    units j, k, so the check passes whenever it is reached.
     """
     checks: list[Check] = []
     N = working_conductor(md)
-    units = (
-        unit_group_generators(N) or (1,) if generators_only else units_mod(N)
-    )
     r = md.rank
 
-    missing = None
-    for k in units:
-        try:
-            galois_permutation(md, k)
-        except (NotModularError, DegenerateDataError) as e:
-            missing = f"k = {k}: {e}"
-            break
+    def no_permutation(k):
+        error = _permutation_error(md, k)
+        return error and f"k = {k}: {error}"
+
+    missing = _first_failure(md, no_permutation)
     checks.append(Check("permutation-exists", missing is None, missing or ""))
     if missing is not None:
         return VerificationReport(tuple(checks))
-
-    # sigma_jk = sigma_j sigma_k on Q(zeta_m) carries column y to column
-    # sigma-hat_j(sigma-hat_k(y)), and matches are unique, so
-    # sigma-hat_jk = sigma-hat_j sigma-hat_k
     checks.append(Check("homomorphism", True))
+
+    def identity(name, holds):
+        """The first failure of holds(k, x, sigma-hat_k x), as a witness."""
+        def fails(k):
+            perm = galois_permutation(md, k)
+            for x in range(r):
+                if not holds(k, x, perm.index(x)):
+                    return f"{name} identity fails at k = {k}, X = {md.labels[x]}"
+        return _first_failure(md, fails)
 
     D = global_dim(md)
     d2 = [dx * dx for dx in dims(md)]
-    dim_bad = None
-    for k in _first_per_class(units, _ratio_columns(md).conductor):
-        perm = galois_permutation(md, k)
-        Dk = D.galois(k)
-        for x in range(r):
-            # D != 0, so this is d[sigma-hat X]^2 = (D / sigma(D)) sigma(d_X^2)
-            if d2[perm.index(x)] * Dk != D * d2[x].galois(k):
-                dim_bad = f"dimension identity fails at k = {k}, X = {md.labels[x]}"
-                break
-        if dim_bad:
-            break
+    # D != 0, so this is d[sigma-hat X]^2 = (D / sigma(D)) sigma(d_X^2)
+    dim_bad = identity("dimension", lambda k, x, y: d2[y] * D.galois(k) == D * d2[x].galois(k))
     checks.append(Check("dim-identity", dim_bad is None, dim_bad or ""))
 
     try:
-        # ord(t[X]) divides 12 FSexp, which divides N, so sigma_k2 acts on
-        # t[X] as the power k2
+        # ord(t[X]) divides 12 FSexp, which divides N, so sigma_(k^2) acts on
+        # t[X] as the power k^2
         t = normalized_t(md)[1]
-        t_bad = None
-        for k in units:
-            perm = galois_permutation(md, k)
-            k2 = (k * k) % N
-            for x in range(r):
-                if t[x] ** k2 != t[perm.index(x)]:
-                    t_bad = f"t identity fails at k = {k}, X = {md.labels[x]}"
-                    break
-            if t_bad:
-                break
+        t_bad = identity("t", lambda k, x, y: t[x] ** (k * k % N) == t[y])
         checks.append(Check("t-squared-identity", t_bad is None, t_bad or ""))
     except NotModularError as e:
         checks.append(Check("t-squared-identity", False, str(e)))

@@ -206,6 +206,12 @@ def fs_exponent(md: ModularDatum) -> int:
     return math.lcm(*(t.order for t in md.T))
 
 
+@_kept_on_datum
+def _s_conductor(md: ModularDatum) -> int:
+    """lcm of the conductors of the stored S entries."""
+    return math.lcm(*(e.n for row in md.S for e in row))
+
+
 def gauss_sum(md: ModularDatum, sign: int = 1) -> Cyc:
     """sum_X dim(X)^2 theta_X^(sign) with theta_X the inverse of T[X]."""
     if sign not in (1, -1):
@@ -304,8 +310,7 @@ def _integral_s(md: ModularDatum) -> tuple[int, int, tuple[tuple[int, ...], ...]
     every |sigma(L S[x][y])|."""
     S = md.S
     L = math.lcm(*(e.den for row in S for e in row))
-    N = math.lcm(*(e.n for row in S for e in row))
-    return L, N, tuple(tuple(_norm1(e, L) for e in row) for row in S)
+    return L, _s_conductor(md), tuple(tuple(_norm1(e, L) for e in row) for row in S)
 
 
 def _norm1(e: Cyc, scale: int) -> int:

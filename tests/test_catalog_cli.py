@@ -199,6 +199,17 @@ def test_cli_on_negative_global_dim_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
 
 
+def test_python_m_mdtk_runs_the_cli_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mdtk.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdtk", "catalog", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert tuple(e["name"] for e in json.loads(proc.stdout)) == builtin_names()
+
+
 def test_cli_product_caps_the_conductor_before_multiplying(tmp_path, capsys):
     # each factor passes the load cap (12 * 16 and 12 * 63), but the
     # product needs 12 * lcm(16, 63) = 12096

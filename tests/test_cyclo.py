@@ -524,6 +524,27 @@ def test_from_dict_rejects_non_integer_json_numbers(entry, t, message):
     assert str(err.value) == f"bad matrix entry: {message}"
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("12", "coefficient '12' is not a [num, den] list"),
+        ({"3": 0, "4": 0}, "coefficient {'3': 0, '4': 0} is not a [num, den] list"),
+        (["1"], "not enough values to unpack (expected 2, got 1)"),
+    ],
+)
+def test_cyc_from_json_reads_only_two_item_lists(pair, message):
+    # a string or a dict of two items once unpacked as a coefficient:
+    # "12" loaded as 1/2 and {"3": 0, "4": 0} as 3/4
+    entry = {"n": 1, "c": [pair]}
+    with pytest.raises(ValueError) as err:
+        Cyc.from_json(entry)
+    assert str(err.value) == message
+    obj = {"labels": ["1"], "S": [[entry]], "T": [{"m": 1, "k": 0}]}
+    with pytest.raises(DataFormatError) as err:
+        from_dict(obj)
+    assert str(err.value) == f"bad matrix entry: {message}"
+
+
 def test_to_json_shares_zero_coefficients():
     md = pointed(MetricGroup.generator_form((81,), (1,)))
     tracemalloc.start()

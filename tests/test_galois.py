@@ -3,6 +3,7 @@ identity battery built on them."""
 
 import math
 import random
+import re
 import time
 from functools import partial
 
@@ -34,6 +35,7 @@ from mdtk.galois import (
     verify_galois_identities,
     working_conductor,
 )
+import mdtk.galois
 from mdtk.modular import (
     DegenerateDataError,
     ModularDatum,
@@ -43,6 +45,7 @@ from mdtk.modular import (
     fs_exponent,
     global_dim,
     ndim,
+    normalized_t,
     verify,
     verlinde_fusion,
 )
@@ -430,3 +433,162 @@ def test_rank_36_all_units_sweep():
     seconds = time.perf_counter() - t0
     assert report.ok, report.failures
     assert seconds < 30, seconds
+
+
+# ------------------------------------------- every unit against generators
+
+
+def _every_unit_report(md):
+    """verify_galois_identities as a sweep over every unit mod the working
+    conductor in increasing order, each identity checked at each unit: the
+    names, verdicts and witnesses as (name, passed, witness) rows."""
+    N = working_conductor(md)
+    units = units_mod(N)
+    perms = {}
+    for k in units:
+        try:
+            perms[k] = galois_permutation(md, k).mapping
+        except (NotModularError, DegenerateDataError) as e:
+            return [("permutation-exists", False, f"k = {k}: {e}")]
+    rows = [("permutation-exists", True, ""), ("homomorphism", True, "")]
+    D, d = global_dim(md), dims(md)
+    dim_bad = next(
+        (f"dimension identity fails at k = {k}, X = {md.labels[x]}"
+         for k in units for x in range(md.rank)
+         if d[perms[k][x]] ** 2 != D / D.galois(k) * (d[x] ** 2).galois(k)),
+        "",
+    )
+    rows.append(("dim-identity", not dim_bad, dim_bad))
+    try:
+        t = normalized_t(md)[1]
+    except NotModularError as e:
+        return rows + [("t-squared-identity", False, str(e))]
+    t_bad = next(
+        (f"t identity fails at k = {k}, X = {md.labels[x]}"
+         for k in units for x in range(md.rank)
+         if t[x] ** (k * k % N) != t[perms[k][x]]),
+        "",
+    )
+    return rows + [("t-squared-identity", not t_bad, t_bad)]
+
+
+def _every_unit_orbit(md, label, squares):
+    """The images of the object under sigma-hat at every unit k (at k^2
+    with squares), or the error of the first unit k that has none."""
+    N = working_conductor(md)
+    x = md.index(label)
+    images = set()
+    for k in units_mod(N):
+        try:
+            perm = galois_permutation(md, k * k % N if squares else k)
+        except (NotModularError, DegenerateDataError) as e:
+            return type(e).__name__, str(e)
+        images.add(md.labels[perm.index(x)])
+    return images
+
+
+def _quadratic_data():
+    """S = [[1, a], [a, N(a)]] for quadratic a: the ratio columns (1, a) and
+    (1, a') are Galois closed, and the dimension identity at X = 1 needs
+    N(a)^2 = 1, so sqrt 2, its conjugate, sqrt 3 and sqrt 5 fail it and the
+    golden ratio passes it."""
+    r2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+    r3 = root_of_unity(12, 1) + root_of_unity(12, 11)
+    r5 = root_of_unity(5, 1) - root_of_unity(5, 2) - root_of_unity(5, 3) + root_of_unity(5, 4)
+    golden = (1 + r5) / 2
+    one = [RootOfUnity.one()] * 2
+    data = [
+        ModularDatum(("1", "x"), [[1, a], [a, n]], one, name=name)
+        for name, a, n in (("sqrt2", r2, -2), ("sqrt3", r3, -3), ("sqrt5", r5, -5),
+                           ("golden", golden, -1))
+    ]
+    data.append(ModularDatum(("1", "x"), [[e.galois(3) for e in row] for row in data[0].S],
+                             one, name="sqrt2^s3"))
+    return data
+
+
+def _outcomes(md):
+    """Every output of the Galois layer on md, errors as (type, text)."""
+    def outcome(fn, *args):
+        try:
+            out = fn(md, *args)
+        except (NotModularError, DegenerateDataError) as e:
+            return type(e).__name__, str(e)
+        return out
+    report = outcome(verify_galois_identities)
+    if not isinstance(report, tuple):
+        report = [(c.name, c.passed, c.witness) for c in report.checks]
+    return (
+        report,
+        [outcome(orbit, lab) for lab in md.labels],
+        [outcome(lambda m, lab: orbit_t(m, lab)[0], lab) for lab in md.labels],
+    )
+
+
+def test_generators_decide_what_every_unit_decides():
+    failing = set()
+    located = 0
+    # the second seed adds only its mutations: the builtins and products repeat
+    data = _seeded_data(11, 40) + _seeded_data(12, 40)[-40:] + _quadratic_data()
+    for md in data:
+        got = _outcomes(md)
+        want = (
+            _every_unit_report(md),
+            [_every_unit_orbit(md, lab, False) for lab in md.labels],
+            [_every_unit_orbit(md, lab, True) for lab in md.labels],
+        )
+        assert got == want, md.name
+        gens = unit_group_generators(working_conductor(md))
+        for name, passed, witness in got[0]:
+            if not passed:
+                failing.add((name, witness.split(" fails at k = ")[0].split(" = ")[0]))
+                k = re.search(r"k = (\d+)", witness)
+                located += k is not None and int(k.group(1)) not in gens
+        failing |= {o[0] for o in got[1] + got[2] if isinstance(o, tuple)}
+    # the data reach every failing check, the t identity both through its
+    # witness and through the normalized T, and both orbit errors
+    assert failing == {
+        ("permutation-exists", "k"),
+        ("dim-identity", "dimension identity"),
+        ("t-squared-identity", "t identity"),
+        ("t-squared-identity", "squared Gauss sum over the global dimension is not a root of unity"),
+        "NotModularError",
+        "DegenerateDataError",
+    }, failing
+    # and many failures are first seen at a unit that is not a generator
+    assert located >= 20, located
+
+
+def test_quadratic_dimension_identity_witnesses():
+    got = {
+        md.name: verify_galois_identities(md).checks[2].witness for md in _quadratic_data()
+    }
+    assert got == {
+        "sqrt2": "dimension identity fails at k = 5, X = 1",
+        "sqrt3": "dimension identity fails at k = 5, X = 1",
+        "sqrt5": "dimension identity fails at k = 7, X = 1",
+        "golden": "",
+        "sqrt2^s3": "dimension identity fails at k = 5, X = 1",
+    }
+
+
+def test_passing_report_matches_only_at_the_generators(monkeypatch):
+    md = deligne_product(deligne_product(ising(1, 1), fibonacci(1)), so5_level9(1))
+    N = working_conductor(md)
+    gens = unit_group_generators(N)
+    assert N == 8640 and len(gens) == 4
+    seen = []
+    permutation = mdtk.galois.galois_permutation
+
+    def counted(md, k):
+        seen.append(k)
+        return permutation(md, k)
+
+    monkeypatch.setattr(mdtk.galois, "galois_permutation", counted)
+    assert verify_galois_identities(md).ok
+    assert set(seen) == set(gens), sorted(set(seen))
+    seen.clear()
+    for lab in md.labels:
+        orbit(md, lab)
+        orbit_t(md, lab)
+    assert set(seen) == set(gens) | {g * g % N for g in gens}, sorted(set(seen))
