@@ -1,10 +1,15 @@
 """Serialization, the builtin catalog, and the command line interface.
 
-Files are JSON with decimal-string rationals, so round trips are exact:
+Files are JSON with decimal-string integers, so round trips are exact:
 
     {"name": ..., "labels": [...],
-     "S": [[{"n": conductor, "c": [["num", "den"], ...]}, ...], ...],
+     "S": [[{"n": conductor, "den": "den", "terms": [[i, "num"], ...]}, ...], ...],
      "T": [{"m": order, "k": exponent}, ...]}
+
+An S entry is sum(num_i zeta_n^i) / den over its nonzero power-basis
+coefficients, at increasing indices i < phi(n); zero has no terms.  Files
+in the older dense form, "c": [["num", "den"], ...] with every coefficient,
+still load.
 
 The builtin catalog covers the families the library constructs, at every
 parameter that yields genuinely different invariants."""
@@ -92,7 +97,7 @@ def to_dict(md: ModularDatum) -> dict:
 
 def _write_datum(md: ModularDatum, fh) -> None:
     # json.dumps, not json.dump: only dumps runs the C encoder
-    fh.write(json.dumps(to_dict(md)) + "\n")
+    fh.write(json.dumps(to_dict(md), separators=(",", ":")) + "\n")
 
 
 def save(md: ModularDatum, path: str) -> None:
@@ -657,3 +662,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+# `python -m mdtk.catalog_cli` runs this file a second time, as __main__,
+# after the package has imported it; the entry points are `python -m mdtk`
+# and the `mdtk` script
+if __name__ == "__main__":
+    sys.exit("error: mdtk.catalog_cli is not runnable; use `python -m mdtk` or `mdtk`")

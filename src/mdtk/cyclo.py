@@ -714,43 +714,87 @@ class Cyc:
         return f"Cyc({self})"
 
     def to_json(self) -> dict:
-        """{"n": n, "c": [[num, den], ...]}, each coefficient a reduced
-        fraction of decimal strings.  The zero coefficients share one
-        ["0", "1"] list, so the result is read-only."""
-        zero = ["0", "1"]
-        c = []
-        for v in self.num:
-            g = math.gcd(v, self.den)
-            c.append([str(v // g), str(self.den // g)] if v else zero)
-        return {"n": self.n, "c": c}
+        """{"n": n, "den": den, "terms": [[i, num_i], ...]}: the reduced
+        common denominator and the nonzero power-basis numerators, as
+        decimal strings, at strictly increasing indices i.  Zero is
+        {"n": n, "den": "1", "terms": []}."""
+        return {
+            "n": self.n,
+            "den": str(self.den),
+            "terms": [[i, str(v)] for i, v in enumerate(self.num) if v],
+        }
 
     @staticmethod
     def from_json(obj: dict) -> "Cyc":
-        if not isinstance(obj, dict) or "n" not in obj or "c" not in obj:
-            raise ValueError("field element must be {'n': ..., 'c': [[num, den], ...]}")
+        """Read the form `to_json` writes, or the dense form of older files,
+        {"n": n, "c": [[num, den], ...]} with all phi(n) coefficients.  The
+        value is stored densely, phi(n) integers, so a reader of untrusted
+        input caps n first, as `catalog_cli.from_dict` does."""
+        if not isinstance(obj, dict):
+            raise ValueError(
+                "field element must be {'n': ..., 'den': ..., 'terms': [[i, num], ...]}"
+            )
+        dense = "c" in obj
+        if dense and ("den" in obj or "terms" in obj):
+            raise ValueError("field element mixes the dense 'c' form with 'den' and 'terms'")
+        for key in ("n", "c") if dense else ("n", "den", "terms"):
+            if key not in obj:
+                raise ValueError(f"field element has no {key!r}")
         n = obj["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"bad conductor {n!r}")
-        c = obj["c"]
-        if len(c) != euler_phi(n):
-            raise ValueError(
-                f"coefficient length {len(c)} does not match phi({n}) = {euler_phi(n)}"
-            )
-        nums, dens = [], []
-        for pair in c:
-            # a string or a dict of two items would unpack as a pair too
-            if type(pair) is not list:
-                raise ValueError(f"coefficient {pair!r} is not a [num, den] list")
-            num, den = pair
-            den = _json_int(den)
-            if den == 0:
-                raise ValueError("zero denominator in a coefficient")
-            num = _json_int(num)
-            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-            nums.append(num // g)
-            dens.append(den // g)
-        den = math.lcm(*dens)
-        return _normalize(n, den, [v * (den // d) for v, d in zip(nums, dens)])
+        den, num = _dense_json(n, obj["c"]) if dense else _sparse_json(n, obj)
+        return _normalize(n, den, num)
+
+
+def _sparse_json(n: int, obj: dict) -> tuple[int, list[int]]:
+    den = obj["den"]
+    if type(den) is not str and type(den) is not int:
+        raise ValueError(f"denominator {den!r} is not an integer")
+    den = int(den)
+    if den < 1:
+        raise ValueError(f"denominator {den} is not positive")
+    terms = obj["terms"]
+    if type(terms) is not list:
+        raise ValueError(f"terms must be a list, not {type(terms).__name__}")
+    phi = euler_phi(n)
+    num = [0] * phi
+    last = -1
+    for term in terms:
+        if type(term) is not list or len(term) != 2:
+            raise ValueError(f"term {term!r} is not an [index, numerator] pair")
+        i, v = term
+        if type(i) is not int:
+            raise ValueError(f"term index {i!r} is not an integer")
+        if not 0 <= i < phi:
+            raise ValueError(f"term index {i} is outside 0 <= i < phi({n}) = {phi}")
+        if i <= last:
+            raise ValueError(f"term index {i} follows {last}: indices must increase")
+        num[i] = _json_int(v)
+        last = i
+    return den, num
+
+
+def _dense_json(n: int, c) -> tuple[int, list[int]]:
+    if len(c) != euler_phi(n):
+        raise ValueError(
+            f"coefficient length {len(c)} does not match phi({n}) = {euler_phi(n)}"
+        )
+    nums, dens = [], []
+    for pair in c:
+        # a string or a dict of two items would unpack as a pair too
+        if type(pair) is not list:
+            raise ValueError(f"coefficient {pair!r} is not a [num, den] list")
+        num, den = pair
+        den = _json_int(den)
+        if den == 0:
+            raise ValueError("zero denominator in a coefficient")
+        num = _json_int(num)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    den = math.lcm(*dens)
+    return den, [v * (den // d) for v, d in zip(nums, dens)]
 
 
 def _json_int(v) -> int:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from mdtk.catalog_cli import (
 from mdtk.bounds import bound_check, key_object, lemma_orbit_bound
 from mdtk.construct import deligne_product, fibonacci, ising, so5_level9
 from mdtk.cyclo import RootOfUnity, rational, root_of_unity
-from mdtk.galois import working_conductor
+from mdtk.galois import conjugate_category, working_conductor
 from mdtk.modular import (
     DataFormatError,
     ModularDatum,
@@ -38,6 +39,7 @@ from mdtk.modular import (
     verify,
     verlinde_fusion,
 )
+from test_galois import _seeded_data
 
 
 # -------------------------------------------------------- serialization
@@ -101,6 +103,60 @@ def test_from_dict_rejects_bad_coefficient_length():
     obj["S"][2][2] = {"n": 8, "c": [["0", "1"]]}
     with pytest.raises(DataFormatError, match="phi"):
         from_dict(obj)
+
+
+def _dense_dict(md: ModularDatum) -> dict:
+    """md in the dense form older files hold: every power-basis
+    coefficient as a reduced [num, den] pair of strings, zeros included."""
+    obj = to_dict(md)
+    obj["S"] = [
+        [{"n": e.n, "c": [[str(Fraction(v, e.den).numerator), str(Fraction(v, e.den).denominator)]
+                          for v in e.num]} for e in row]
+        for row in md.S
+    ]
+    return obj
+
+
+def _json_trip(obj: dict):
+    """from_dict of obj after a pass through JSON text, or the message of
+    the DataFormatError it raises."""
+    try:
+        return from_dict(json.loads(json.dumps(obj)))
+    except DataFormatError as e:
+        return str(e)
+
+
+def test_sparse_and_dense_files_load_the_same_data():
+    data = _seeded_data(15, 60)
+    data += [
+        deligne_product(so5_level9(2), builtin("pointed-c3")),
+        deligne_product(builtin("double-c2"), fibonacci(3)),
+        conjugate_category(deligne_product(ising(1, 1), fibonacci(1)), 7),
+    ]
+    loaded = 0
+    for md in data:
+        sparse, dense = to_dict(md), _dense_dict(md)
+        assert all("c" not in e and e["den"] != "0" for row in sparse["S"] for e in row)
+        got, old = _json_trip(sparse), _json_trip(dense)
+        if isinstance(got, str):
+            # a seeded mutation by a cube root of unity can leave the field
+            # of T, which both forms reject with the same message
+            assert got == old and "does not lie in" in got, (md.name, got, old)
+            continue
+        loaded += 1
+        assert data_equal(got, md) and data_equal(old, md), md.name
+        assert (got.name, got.labels) == (old.name, old.labels) == (md.name, md.labels)
+        assert [e.n for row in got.S for e in row] == [e.n for row in md.S for e in row]
+    assert loaded >= len(builtin_names()) + 5 + 40, loaded
+
+
+def test_sparse_form_caps_the_conductor_before_parsing():
+    obj = to_dict(ising(1, 1))
+    obj["S"][2][2] = {"n": 10**18 + 9, "den": "1", "terms": []}
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match=f"above the limit {MAX_CONDUCTOR}"):
+        from_dict(obj)
+    assert time.perf_counter() - start < 1.0
 
 
 def malformed_dicts():
@@ -208,6 +264,18 @@ def test_python_m_mdtk_runs_the_cli_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert tuple(e["name"] for e in json.loads(proc.stdout)) == builtin_names()
+
+
+def test_python_m_mdtk_catalog_cli_fails_and_names_the_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mdtk.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdtk.catalog_cli", "catalog", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and "`python -m mdtk`" in last, proc.stderr
 
 
 def test_cli_product_caps_the_conductor_before_multiplying(tmp_path, capsys):
@@ -380,12 +448,21 @@ def test_cli_construct_writes_file(tmp_path, capsys):
 
 
 def test_cli_construct_writes_pointed_c81_compactly(tmp_path, capsys):
-    # the same datum written with indent=1 takes 7.4 MB
+    # the same datum takes 7.4 MB written with indent=1 and 2.5 MB with
+    # every power-basis coefficient; the sparse form takes 0.27 MB
     path = tmp_path / "c81.json"
     assert main(["construct", "pointed", "--orders", "81", "-o", str(path)]) == 0
     capsys.readouterr()
-    assert os.path.getsize(path) < 3_000_000
-    assert load(str(path)).rank == 81
+    assert os.path.getsize(path) < 400_000
+    tracemalloc.start()
+    try:
+        md = load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # loading the 2.5 MB dense file peaked at 23.9 MB; this one at 5.2 MB
+    assert peak < 10_000_000, peak
+    assert md.rank == 81
 
 
 def test_cli_construct_ising(tmp_path, capsys):

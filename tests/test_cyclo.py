@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: field operations, Galois action, traces,
 embeddings, and the root-of-unity helper type."""
 
+import math
 import os
 import random
 import subprocess
@@ -471,17 +472,34 @@ def test_cyc_from_json_validates():
 
 
 def test_cyc_to_json_writes_reduced_fractions():
+    # pins the written form: the reduced common denominator as a string,
+    # then the nonzero numerators at strictly increasing indices
     rng = random.Random(4471)
+    zeros = 0
     for n in (1, 5, 12, 27):
         for _ in range(5):
             den = rng.choice((1, 2, 6, 35))
-            num = [rng.randrange(-40, 41) for _ in range(euler_phi(n))]
+            num = [rng.choice((0, rng.randrange(-40, 41))) for _ in range(euler_phi(n))]
+            zeros += num.count(0)
             a = Cyc.from_json({"n": n, "c": [[str(v), str(den)] for v in num]})
             want = [Fraction(v, den) for v in num]
+            common = math.lcm(*(f.denominator for f in want))
             assert a.to_json() == {
                 "n": n,
-                "c": [[str(f.numerator), str(f.denominator)] for f in want],
+                "den": str(common),
+                "terms": [[i, str(f.numerator * (common // f.denominator))]
+                          for i, f in enumerate(want) if f],
             }
+    assert zeros > 50
+    assert rational(0).to_json() == {"n": 1, "den": "1", "terms": []}
+    assert (zeta(12, 5) - zeta(12, 5)).to_json() == {"n": 12, "den": "1", "terms": []}
+
+
+def test_cyc_from_json_reduces_the_sparse_form():
+    a = Cyc.from_json({"n": 5, "den": "4", "terms": [[0, "2"], [1, 0], [3, -6]]})
+    assert (a.den, a.num) == (2, (1, 0, 0, -3))
+    assert Cyc.from_json({"n": 8, "den": 3, "terms": []}) == rational(0)
+    assert Cyc.from_json({"n": 8, "den": "1", "terms": []}).num == (0, 0, 0, 0)
 
 
 def test_cyc_from_json_reduces_unnormalized_pairs():
@@ -545,6 +563,53 @@ def test_cyc_from_json_reads_only_two_item_lists(pair, message):
     assert str(err.value) == f"bad matrix entry: {message}"
 
 
+SPARSE_FORM_ERRORS = [
+    ({"n": 4, "terms": []}, "field element has no 'den'"),
+    ({"n": 4, "den": "1"}, "field element has no 'terms'"),
+    ({"den": "1", "terms": []}, "field element has no 'n'"),
+    ({"n": 4, "den": "0", "terms": []}, "denominator 0 is not positive"),
+    ({"n": 4, "den": "-3", "terms": []}, "denominator -3 is not positive"),
+    ({"n": 4, "den": True, "terms": []}, "denominator True is not an integer"),
+    ({"n": 4, "den": 1.5, "terms": []}, "denominator 1.5 is not an integer"),
+    ({"n": 4, "den": "1", "terms": {"0": "1"}}, "terms must be a list, not dict"),
+    ({"n": 4, "den": "1", "terms": "0,1"}, "terms must be a list, not str"),
+    ({"n": 4, "den": "1", "terms": [[1]]}, "term [1] is not an [index, numerator] pair"),
+    ({"n": 4, "den": "1", "terms": [[0, "1", "2"]]},
+     "term [0, '1', '2'] is not an [index, numerator] pair"),
+    ({"n": 4, "den": "1", "terms": ["01"]}, "term '01' is not an [index, numerator] pair"),
+    ({"n": 4, "den": "1", "terms": [[True, "1"]]}, "term index True is not an integer"),
+    ({"n": 4, "den": "1", "terms": [[1.0, "1"]]}, "term index 1.0 is not an integer"),
+    ({"n": 4, "den": "1", "terms": [["1", "1"]]}, "term index '1' is not an integer"),
+    ({"n": 4, "den": "1", "terms": [[-1, "1"]]}, "term index -1 is outside 0 <= i < phi(4) = 2"),
+    ({"n": 4, "den": "1", "terms": [[2, "1"]]}, "term index 2 is outside 0 <= i < phi(4) = 2"),
+    ({"n": 4, "den": "1", "terms": [[0, "1"], [0, "1"]]},
+     "term index 0 follows 0: indices must increase"),
+    ({"n": 4, "den": "1", "terms": [[1, "1"], [0, "1"]]},
+     "term index 0 follows 1: indices must increase"),
+    ({"n": 4, "den": "1", "terms": [[0, 1.5]]}, "coefficient 1.5 is not an integer"),
+    ({"n": 4, "den": "1", "terms": [[0, True]]}, "coefficient True is not an integer"),
+    ({"n": 4, "den": "1", "terms": [[0, "1.5"]]},
+     "invalid literal for int() with base 10: '1.5'"),
+    ({"n": 1, "den": "1", "terms": [[0, "1"]], "c": [["1", "1"]]},
+     "field element mixes the dense 'c' form with 'den' and 'terms'"),
+    ({"n": 1, "terms": [[0, "1"]], "c": [["1", "1"]]},
+     "field element mixes the dense 'c' form with 'den' and 'terms'"),
+    ({"n": 1.0, "den": "1", "terms": []}, "bad conductor 1.0"),
+    ({"n": 0, "den": "1", "terms": []}, "bad conductor 0"),
+]
+
+
+@pytest.mark.parametrize("entry, message", SPARSE_FORM_ERRORS)
+def test_from_dict_rejects_malformed_sparse_entries(entry, message):
+    with pytest.raises(ValueError) as err:
+        Cyc.from_json(entry)
+    assert str(err.value) == message
+    obj = {"labels": ["1"], "S": [[entry]], "T": [{"m": 1, "k": 0}]}
+    with pytest.raises(DataFormatError) as err:
+        from_dict(obj)
+    assert str(err.value) == f"bad matrix entry: {message}"
+
+
 def test_to_json_shares_zero_coefficients():
     md = pointed(MetricGroup.generator_form((81,), (1,)))
     tracemalloc.start()
@@ -553,7 +618,8 @@ def test_to_json_shares_zero_coefficients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # rules out one list and two strings per zero coefficient: about 38 MB
+    # rules out one list and two strings per zero coefficient: about 38 MB;
+    # the sparse form writes no zero coefficient at all
     assert peak < 10_000_000, peak
 
 
