@@ -113,10 +113,22 @@ def from_dict(obj: dict) -> ModularDatum:
             raise DataFormatError(f"missing required key {key!r}")
     if not isinstance(obj["labels"], list):
         raise DataFormatError("labels must be a list")
+    # pointed data repeat few distinct values (pointed-c81: 6,561 entries,
+    # 81 values), so each distinct raw entry is parsed once; repr tells 1
+    # from True and 1.0, which compare equal
+    parsed: dict[str, Cyc] = {}
+
+    def entry(e) -> Cyc:
+        key = repr(e)
+        c = parsed.get(key)
+        if c is None:
+            c = parsed[key] = Cyc.from_json(e)
+        return c
+
     try:
         _check_conductor_cap([e.get("n") for row in obj["S"] for e in row if isinstance(e, dict)]
                              + [t.get("m") for t in obj["T"] if isinstance(t, dict)])
-        S = [[Cyc.from_json(e) for e in row] for row in obj["S"]]
+        S = [[entry(e) for e in row] for row in obj["S"]]
         T = [RootOfUnity.from_json(t) for t in obj["T"]]
     except (ValueError, TypeError) as e:
         raise DataFormatError(f"bad matrix entry: {e}") from None

@@ -320,25 +320,45 @@ def _norm1(e: Cyc, scale: int) -> int:
 
 @_kept_on_datum
 def _unitarity_images(md: ModularDatum):
-    """The ring that decides unitarity, and the images of the rows of A = L S
+    """The ring that decides unitarity, charge conjugation and the simple
+    products of `verlinde_fusion`, and the images of the rows of A = L S
     and of conj(A) in it, one tuple of residues per row.
 
-    The bound is the largest row sum of ||A[i][k]||_1^2 plus ||L^2 D||_1,
-    which covers every entry of A conj(A)^T - L^2 D I (see
-    `_unitarity_witness`).  It also decides equality of two entries of A
-    or conj(A): the difference of A[i][k] and conj(A[j][k]) has every
-    |sigma| at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, with top the
-    largest ||A[x][y]||_1, since conjugation keeps the 1-norm.  The row that
-    holds top contributes top^2, and L^2 D is integral and nonzero, so its
-    1-norm is at least 1: the bound is at least top^2 + 1 >= 2 top.  So
-    two rows are equal exactly when their residue tuples are.
+    The bound is the larger of 2 top^2, with top the largest
+    ||A[x][y]||_1, and the largest row sum of ||A[i][k]||_1^2 plus
+    ||L^2 D||_1, which covers every entry of A conj(A)^T - L^2 D I (see
+    `_unitarity_witness`).  It decides equality of two entries of A or
+    conj(A): the difference of A[i][k] and conj(A[j][k]) has every |sigma|
+    at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, since conjugation keeps
+    the 1-norm, and 2 top <= 2 top^2.  So two rows are equal exactly when
+    their residue tuples are.  It decides A[x][c] A[y][c] = A[0][c] A[z][c]
+    too, whose difference has every |sigma| at most 2 top^2.
     """
     D = global_dim(md)
     L, N, norms = _integral_s(md)
-    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
+    top = max(map(max, norms))
+    unitarity = max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L)
+    ring = ResidueMap(N, max(unitarity, 2 * top * top))
     a = tuple(tuple(ring(e, L) for e in row) for row in md.S)
     abar = tuple(tuple(ring(e, L, -1) for e in row) for row in md.S)
     return ring, a, abar
+
+
+@_kept_on_datum
+def _charge_conjugation(md: ModularDatum):
+    """(C, None) with conj(S[j]) = S[C[j]] for every row j, or (None, j) for
+    the first row j whose conjugate is no row of S.  Rows are matched by
+    their residues in the unitarity ring, which decides entry equality
+    exactly (see `_unitarity_images`)."""
+    _, a, abar = _unitarity_images(md)
+    rows = {row: z for z, row in enumerate(a)}
+    C = []
+    for j, row in enumerate(abar):
+        z = rows.get(row)
+        if z is None:
+            return None, j
+        C.append(z)
+    return tuple(C), None
 
 
 @_kept_on_datum
@@ -383,33 +403,53 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     with D the global dimension.  Raises NotModularError if any value is
     not a nonnegative integer (or a column of S is zero at the unit row).
 
-    The values are evaluated in floating point and rounded, then accepted
-    only after an exact certificate.  The float step uses the S_3 symmetry
-    of N_abc = N[a][b][c*]: with conj(S[z][c]) = S[z*][c] for modular data,
-    the formula becomes sum_c S[a][c] S[b][c] S[c'][c] / (D S[0][c]) with
-    c' = z*, symmetric in a, b and c', so one value per sorted triple
-    suffices.  Its c' = 0 slice is (S^2)[a][b] / D = [b = a*], which gives
-    the duals that turn the sorted values back into N (see
-    `_verlinde_float`).  The certificate is S Sbar^T = D I, and
+    When S is unitary, S Sbar^T = D I, and no S[0][c] is zero, the pairs
+    y <= x whose product is simple are decided first, with no floating
+    point.  With A = L S integral, suppose that
+
+        A[x][c] A[y][c] = A[0][c] A[z][c]    for every column c.
+
+    Then S[x][c] S[y][c] / S[0][c] = S[z][c], and the formula becomes
+    N[x][y][w] = sum_c S[z][c] conj(S[w][c]) / D = (S Sbar^T)[z][w] / D =
+    [w = z], so x tensor y = z exactly.  Conversely, Sbar^T S = D I turns
+    the formula into sum_w N[x][y][w] S[w][c] = S[x][c] S[y][c] / S[0][c],
+    so every simple product satisfies these equations.  Each difference
+    A[x][c] A[y][c] - A[0][c] A[z][c] has every |sigma| at most 2 top^2,
+    with top the largest ||A[x][y]||_1, and the unitarity ring decides it
+    (see `_unitarity_images` and `ResidueMap`).  Each z is keyed by the
+    residues of A[0][c] A[z][c] over all c; a pair is looked up only when
+    its c = 0 residue is that of some z (see `_simple_products`).  Every
+    (x, 0) pair matches, and on pointed data every pair does.
+
+    The pairs left over are evaluated in floating point, one value per
+    sorted triple they need, with the duals C read off the charge
+    conjugation conj(S[z]) = S[C(z)] (see `_verlinde_float`).  The rounded
+    values are accepted only after an exact certificate:
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
-    for every y <= x and every column c.  Since S^-1 = Sbar^T / D, the two
-    together prove that the rounded integers equal the formula.  Both are
-    decided in Z/m, which is exact: with L S integral, the map
-    zeta_N -> w = 2^b onto Z/m, m = |Phi_N(w)|, sends a nonzero x to 0 only
-    if m divides its norm, and m > B^phi(N) with B bounding every
-    |sigma(x)|.  B is taken through the factors, sum ||a||_1 ||b||_1 + ||c||_1
-    for x = sum a b - c, never from x itself (see `ResidueMap`).  When S is
-    not unitary, a column has S[0][c] = 0, a float is not within 0.25 of a
-    nonnegative integer, or the certificate fails, the formula is evaluated
-    exactly instead, which returns the same tensor or raises the witness.
+    for every pair left over and every column c.  Since S^-1 = Sbar^T / D,
+    this proves that the rounded integers equal the formula.  It is decided
+    in Z/m, which is exact: with L S integral, the map zeta_N -> w = 2^b
+    onto Z/m, m = |Phi_N(w)|, sends a nonzero x to 0 only if m divides its
+    norm, and m > B^phi(N) with B bounding every |sigma(x)|.  B is taken
+    through the factors, sum ||a||_1 ||b||_1 + ||c||_1 for x = sum a b - c,
+    never from x itself (see `ResidueMap`).  When S is not unitary, a
+    column has S[0][c] = 0, pairs are left over and S has no charge
+    conjugation, a float is not within 0.25 of a nonnegative integer, or
+    the certificate fails, the formula is evaluated exactly instead, which
+    returns the same tensor or raises the witness.
     """
-    planes = None
-    if all(not e.is_zero() for e in md.S[0]) and not _unitarity_witness(md):
-        planes = _verlinde_float(md)
-    if planes is None or not _verlinde_certified(md, planes):
+    if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
         return _verlinde_exact(md)
+    planes = _simple_products(md)
+    if any(None in plane for plane in planes):
+        duals = _charge_conjugation(md)[0]
+        rows = None if duals is None else _verlinde_float(md, planes, duals)
+        if rows is None or not _verlinde_certified(md, rows):
+            return _verlinde_exact(md)
+        for (x, y), row in rows.items():
+            planes[x][y] = row
     return _fusion_from_planes(md, planes)
 
 
@@ -423,32 +463,58 @@ def _fusion_from_planes(md: ModularDatum, planes) -> FusionTensor:
     return FusionTensor(md.labels, full)
 
 
-def _verlinde_float(md: ModularDatum):
-    """N[x][y] for y <= x from the Verlinde formula in floating point,
-    rounded to integers; None when a value is not within 0.25 of a
-    nonnegative integer or does not fit in a float, or when the duals
-    cannot be read off.
+def _simple_products(md: ModularDatum):
+    """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
+    decided in the unitarity ring, else None.  S must be unitary with no
+    S[0][c] zero (see `verlinde_fusion`).
+
+    The key of z is the residues of A[0][c] A[z][c] over all c.  A pair
+    forms its r products only when A[x][0] A[y][0] is the c = 0 residue of
+    some key, so a datum with few simple products pays about r^2 / 2
+    products for the match, not r^3 / 2.
+    """
+    r = md.rank
+    ring, a, _ = _unitarity_images(md)
+    m = ring.modulus
+    mod = repeat(m)
+    keys = {tuple(map(operator.mod, map(operator.mul, a[0], az), mod)): z for z, az in enumerate(a)}
+    firsts = {key[0] for key in keys}
+    units = [tuple(int(w == z) for w in range(r)) for z in range(r)]
+    planes = []
+    for x, ax in enumerate(a):
+        plane = []
+        for ay in a[: x + 1]:
+            z = None
+            if ax[0] * ay[0] % m in firsts:
+                z = keys.get(tuple(map(operator.mod, map(operator.mul, ax, ay), mod)))
+            plane.append(None if z is None else units[z])
+        planes.append(plane)
+    return planes
+
+
+def _verlinde_float(md: ModularDatum, planes, duals):
+    """{(x, y): N[x][y]} for the pairs y <= x with planes[x][y] None, from
+    the Verlinde formula in floating point, rounded to integers; None when
+    a value is not within 0.25 of a nonnegative integer or does not fit in
+    a float.  The other planes[x][y] must be the simple products, and
+    duals[z] the row of S equal to conj(S[z]).
 
     The loop evaluates
 
         M[a][b][c] = sum_s S[a][s] S[b][s] S[c][s] / (D S[0][s])
 
-    only for c <= b <= a, rounding and rejecting each value as above:
-    r(r+1)(r+2)/6 dot products of length r, where the formula for N over
-    y <= x takes r^2(r+1)/2.  M is symmetric in a, b and c.  For modular
-    data Sbar = S C and S = S^T give conj(S[z][s]) = S[z*][s], so
-    M[a][b][c] = N[a][b][c*], the coefficient N_abc of Bakalov and Kirillov
-    ("Lectures on tensor categories and modular functors", 2001, 3.1),
-    which is invariant under all of S_3.  Its c = 0 slice is
-    M[a][b][0] = (S^2)[a][b] / D = [b = a*], so the duals come for free:
-    each row of that slice must hold one 1 and zeros, else the result is
-    None.  Then N[x][y][z] = M[x][y][z*], read from the sorted store.
+    for c <= b only at the pairs b <= a left over, b + 1 dot products of
+    length r each.  M is symmetric in a, b and c.  With
+    conj(S[z][s]) = S[z*][s] for z* = duals[z], M[a][b][c] = N[a][b][c*],
+    the coefficient N_abc of Bakalov and Kirillov ("Lectures on tensor
+    categories and modular functors", 2001, 3.1), which is invariant under
+    all of S_3.  So N[x][y][z] = M[x][y][z*] is read from the sorted
+    store, and at a simple pair a tensor b = u no float is needed:
+    M[a][b][c] = planes[a][b][c*].  The formula over the same pairs takes
+    r dot products per pair.
 
-    None of this is assumed: `verlinde_fusion` accepts the planes only
-    after `_verlinde_certified`, which checks every y <= x and every
-    column, so a datum without charge conjugation can only fail the
-    certificate and fall back to the exact formula.  Only the r^3/6 values
-    of M are stored, never a full cube.
+    None of this is assumed: `verlinde_fusion` accepts the values only
+    after `_verlinde_certified`.
     """
     zetas: dict[int, list[complex]] = {}
 
@@ -462,72 +528,64 @@ def _verlinde_float(md: ModularDatum):
         return sum(v * z for v, z in zip(e.num, zs) if v) / e.den
 
     r = md.rank
+    left = [(x, y) for x, plane in enumerate(planes) for y, simple in enumerate(plane) if simple is None]
+    # M[a, b] holds the rounded M[a][b][c] for c <= b, at the pairs left over
+    M: dict[tuple[int, int], list[int]] = {}
     try:
         S = [[approx(e) for e in row] for row in md.S]
         D = approx(global_dim(md))
         W = [[S[c][s] / (D * S[0][s]) for s in range(r)] for c in range(r)]
-        # M[a][b] holds the rounded M[a][b][c] for c <= b <= a
-        M = []
-        for a in range(r):
-            Ma = []
-            for b in range(a + 1):
-                pab = list(map(operator.mul, S[a], S[b]))
-                row = []
-                for w in W[: b + 1]:
-                    v = sum(map(operator.mul, pab, w))
-                    k = round(v.real)
-                    if k < 0 or not abs(v - k) <= 0.25:
-                        return None
-                    row.append(k)
-                Ma.append(row)
-            M.append(Ma)
+        for a, b in left:
+            pab = list(map(operator.mul, S[a], S[b]))
+            row = []
+            for w in W[: b + 1]:
+                v = sum(map(operator.mul, pab, w))
+                k = round(v.real)
+                if k < 0 or not abs(v - k) <= 0.25:
+                    return None
+                row.append(k)
+            M[a, b] = row
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
 
     def line(x, y):
         """M at the sorted (x, y, w) for every w, given y <= x."""
+        dy = duals[y]
+        px = planes[x]
         return (
-            M[x][y]
-            + [M[x][w][y] for w in range(y + 1, x + 1)]
-            + [M[w][x][y] for w in range(x + 1, r)]
+            M[x, y]
+            + [M[x, w][y] if px[w] is None else px[w][dy] for w in range(y + 1, x + 1)]
+            + [M[w, x][y] if planes[w][x] is None else planes[w][x][dy] for w in range(x + 1, r)]
         )
 
-    duals = []
-    for x in range(r):
-        unit = line(x, 0)
-        if sum(unit) != 1:
-            return None
-        duals.append(unit.index(1))
-    return [[tuple(map(line(x, y).__getitem__, duals)) for y in range(x + 1)] for x in range(r)]
+    return {(x, y): tuple(map(line(x, y).__getitem__, duals)) for x, y in left}
 
 
-def _verlinde_certified(md: ModularDatum, planes) -> bool:
+def _verlinde_certified(md: ModularDatum, rows) -> bool:
     """Whether S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c] holds
-    exactly for every y <= x and every column c.
+    exactly for every (x, y): N[x][y] in rows and every column c.
 
     With A = L S integral, each equation is decided in Z/m (see
     `ResidueMap`) as sum_z N[x][y][z] A[0][c] A[z][c] - A[x][c] A[y][c] = 0.
-    Its bound is the largest fusion row sum times max ||A[0][c]||_1 times
+    Its bound is the largest row sum in rows times max ||A[0][c]||_1 times
     max ||A[z][c]||_1, plus max ||A[x][c]||_1^2.
     """
     r = md.rank
     L, N, norms = _integral_s(md)
     top = max(map(max, norms))
-    fused = max(sum(row) for plane in planes for row in plane)
+    fused = max(map(sum, rows.values()))
     ring = ResidueMap(N, fused * max(norms[0]) * top + top * top)
     m = ring.modulus
     a = [[ring(e, L) for e in row] for row in md.S]
     # A[z][c] is the image of A[0][c] A[z][c]; all columns go at once
     A = [[a[0][c] * a[z][c] % m for c in range(r)] for z in range(r)]
-    for x in range(r):
-        for y in range(x + 1):
-            lhs = [0] * r
-            for z, k in enumerate(planes[x][y]):
-                if k:
-                    lhs = list(map(operator.add, lhs, map(operator.mul, A[z], repeat(k))))
-            diff = map(operator.sub, lhs, map(operator.mul, a[x], a[y]))
-            if any(map(operator.mod, diff, repeat(m))):
-                return False
+    mod = repeat(m)
+    for (x, y), row in rows.items():
+        terms = [A[z] if k == 1 else [k * v for v in A[z]] for z, k in enumerate(row) if k]
+        lhs = map(sum, zip(*terms)) if terms else repeat(0, r)
+        diff = map(operator.sub, lhs, map(operator.mul, a[x], a[y]))
+        if any(map(operator.mod, diff, mod)):
+            return False
     return True
 
 
@@ -652,9 +710,7 @@ def verify(md: ModularDatum) -> VerificationReport:
     # exactly (see `_unitarity_images`)
     charge_bad = "prerequisite check failed"
     if not unitary_bad:
-        _, a, abar = _unitarity_images(md)
-        rows = set(a)
-        miss = next((j for j, row in enumerate(abar) if row not in rows), None)
+        miss = _charge_conjugation(md)[1]
         # with no miss, C is an involution fixing the unit: S Sbar = D I
         # makes the columns distinct, and sum |d|^2 = sum d^2 makes d real
         charge_bad = (

@@ -150,6 +150,49 @@ def test_sparse_and_dense_files_load_the_same_data():
     assert loaded >= len(builtin_names()) + 5 + 40, loaded
 
 
+def test_repeated_entries_are_parsed_once(tmp_path, monkeypatch):
+    from mdtk import cyclo
+    from mdtk.construct import MetricGroup, pointed
+
+    md = pointed(MetricGroup.generator_form((27,), (2,)), name="pointed-c27")
+    path = tmp_path / "p27.json"
+    save(md, str(path))
+    real = cyclo.Cyc.from_json
+    parsed = []
+
+    def counted(obj):
+        parsed.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cyclo.Cyc, "from_json", staticmethod(counted))
+    again = load(str(path))
+    assert data_equal(again, md) and again.labels == md.labels
+    distinct = {json.dumps(e) for row in to_dict(md)["S"] for e in row}
+    assert len(parsed) == len(distinct) == 27 < md.rank ** 2
+
+
+def test_a_repeated_malformed_entry_fails_as_one_copy_does():
+    one = {"n": 1, "den": "1", "terms": [[0, "1"]]}
+    for bad in ({"n": True, "den": "1", "terms": [[0, "1"]]},
+                {"n": 1, "den": 1.0, "terms": [[0, "1"]]},
+                {"n": 1, "den": "1", "terms": [[0, True]]},
+                {"n": 8, "den": "1", "terms": [[4, "1"]]},
+                {"n": 1, "c": [[1.5, 1]]},
+                "1"):
+        single = to_dict(ising(1, 1))
+        single["S"][2][2] = bad
+        repeated = to_dict(ising(1, 1))
+        for i in (1, 2):
+            for j in (1, 2):
+                repeated["S"][i][j] = bad
+        # the unit entry parses first; an entry that compares equal to it
+        # in Python (True == 1, 1.0 == 1) must not reuse its value
+        repeated["S"][0][0] = one
+        got = _json_trip(single)
+        assert got.startswith("bad matrix entry: "), (bad, got)
+        assert _json_trip(repeated) == got, bad
+
+
 def test_sparse_form_caps_the_conductor_before_parsing():
     obj = to_dict(ising(1, 1))
     obj["S"][2][2] = {"n": 10**18 + 9, "den": "1", "terms": []}

@@ -23,6 +23,10 @@ from mdtk.construct import (
 )
 from mdtk.modular import (
     _balancing_witness,
+    _charge_conjugation,
+    _integral_s,
+    _simple_products,
+    _unitarity_images,
     _unitarity_witness,
     _verlinde_certified,
     _verlinde_exact,
@@ -429,7 +433,7 @@ def test_certified_verlinde_matches_exact_formula():
     ]
     for md, pinned in cases:
         # the certified path is the one taken, not the fallback
-        assert _verlinde_certified(md, _verlinde_float(md)), md.name
+        assert _verlinde_certified(md, float_rows(md)), md.name
         N = verlinde_fusion(md).N
         assert N == _verlinde_exact(md).N, md.name
         if pinned is not None:
@@ -440,13 +444,13 @@ def test_verlinde_certificate_rejects_a_wrong_float(monkeypatch):
     real = modular._verlinde_float
     calls = []
 
-    def off_by_one(md):
-        planes = real(md)
-        row = list(planes[3][3])
+    def off_by_one(md, planes, duals):
+        rows = real(md, planes, duals)
+        row = list(rows[3, 3])
         row[0] += 1
-        planes[3][3] = tuple(row)
+        rows[3, 3] = tuple(row)
         calls.append(md)
-        return planes
+        return rows
 
     monkeypatch.setattr(modular, "_verlinde_float", off_by_one)
     md = so5_level9(1)
@@ -539,9 +543,25 @@ def reference_balancing(md, N):
     return ""
 
 
-def complete(planes):
-    r = len(planes)
-    return tuple(tuple(planes[max(x, y)][min(x, y)] for y in range(r)) for x in range(r))
+def all_pairs(md):
+    return [(x, y) for x in range(md.rank) for y in range(x + 1)]
+
+
+def float_rows(md, planes=None):
+    """The rounded float values of N[x][y] for the pairs y <= x left open
+    in planes, all of them by default, with the duals of the charge
+    conjugation; None when S has no charge conjugation or a value is
+    rejected."""
+    duals = _charge_conjugation(md)[0]
+    if planes is None:
+        planes = [[None] * (x + 1) for x in range(md.rank)]
+    return None if duals is None else _verlinde_float(md, planes, duals)
+
+
+def complete(rows):
+    """The full table from rows[x, y] for every y <= x."""
+    r = max(x for x, _ in rows) + 1
+    return tuple(tuple(rows[max(x, y), min(x, y)] for y in range(r)) for x in range(r))
 
 
 def sign_flipped(md, x):
@@ -584,15 +604,15 @@ def test_verify_decisions_match_field_references():
                 charge_bad += bool(cwant)
                 got = {c.name: c for c in verify(datum).checks}["charge-conjugation"]
                 assert (got.passed, got.witness) == (not cwant, cwant), md.name
-        planes = None
+        rows = None
         if not want and all(not e.is_zero() for e in md.S[0]):
-            planes = _verlinde_float(md)
-        if planes is not None:
+            rows = float_rows(md)
+        if rows is not None:
             try:
                 exact = _verlinde_exact(md).N
             except NotModularError:
                 exact = None
-            assert _verlinde_certified(md, planes) == (exact == complete(planes)), md.name
+            assert _verlinde_certified(md, rows) == (exact == complete(rows)), md.name
             certified += 1
         try:
             N = verlinde_fusion(md).N
@@ -630,14 +650,18 @@ def test_planted_errors_are_caught(md):
         assert want and _unitarity_witness(bad) == want
         assert not verify(bad).ok
     # one rounded fusion multiplicity raised by 1
-    planes = _verlinde_float(md)
-    assert _verlinde_certified(md, planes)
+    rows = float_rows(md)
+    assert _verlinde_certified(md, rows)
     for _ in range(3):
         x, z = rng.randrange(r), rng.randrange(r)
         y = rng.randrange(x + 1)
-        raised = [list(plane) for plane in planes]
-        raised[x][y] = tuple(k + (i == z) for i, k in enumerate(raised[x][y]))
+        raised = dict(rows)
+        raised[x, y] = tuple(k + (i == z) for i, k in enumerate(raised[x, y]))
         assert not _verlinde_certified(md, raised)
+        # a zero row sums no term, and must still be checked in every column
+        zeroed = dict(rows)
+        zeroed[x, y] = (0,) * r
+        assert not _verlinde_certified(md, zeroed)
         N = complete(raised)
         want = reference_balancing(md, N)
         assert want == f"balancing fails at ({md.labels[y]}, {md.labels[x]})"
@@ -673,6 +697,7 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
             super().__init__(conductor, bound)
 
     monkeypatch.setattr(modular, "ResidueMap", Recorded)
+    rings = set()
     for md in (*planted_data(), deligne_product(ising(3, -1), fibonacci(2)), so5_level9(4)):
         made.clear()
         assert verify(md).ok
@@ -686,28 +711,41 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
             for i in range(r) for j in range(r)
         )
         N = verlinde_fusion(md).N
+        # the certificate decides only the pairs whose product is not simple
+        left = [(x, y) for x in range(r) for y in range(r) if sum(N[x][y]) > 1]
         verlinde = max(
-            sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
-            for x in range(r) for y in range(r) for c in range(r)
+            (sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
+             for x, y in left for c in range(r)),
+            default=0,
         )
         balancing = max(
             A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
             for x in range(r) for y in range(r)
         )
-        # the unitarity ring also matches entries of L S and L conj(S)
+        # the unitarity ring also matches entries of L S and L conj(S), and
+        # A[x][c] A[y][c] against A[0][c] A[z][c] for every x, y, z and c
         charge = 2 * max(map(max, A))
-        assert len(made) == 3, md.name
-        assert made[0] >= max(unitarity, charge), md.name
-        assert made[1] >= verlinde and made[2] >= balancing, md.name
+        match = max(A[x][c] * A[y][c] for x in range(r) for y in range(r) for c in range(r))
+        match += max(A[0][c] * A[z][c] for z in range(r) for c in range(r))
+        # no certificate ring when every product is simple
+        assert len(made) == 2 + bool(left), md.name
+        assert made[0] >= max(unitarity, charge, match), md.name
+        assert made[-1] >= balancing, md.name
+        if left:
+            assert made[1] >= verlinde, md.name
+        rings.add(len(made))
+    # pointed-c27 has only simple products, the others do not
+    assert rings == {2, 3}
 
 
 # ------------------------------------------ the symmetric float Verlinde fill
 
 
-def reference_verlinde_float(md):
-    """The Verlinde formula in floating point over every z and every y <= x,
-    r^2 (r + 1) / 2 dot products, rounded to integers; None when a value is
-    not within 0.25 of a nonnegative integer or does not fit in a float."""
+def reference_verlinde_float(md, pairs):
+    """The Verlinde formula in floating point over every z and every pair
+    y <= x in pairs, one dot product per pair and z, rounded to integers as
+    {(x, y): N[x][y]}; None when a value is not within 0.25 of a
+    nonnegative integer or does not fit in a float."""
     zetas = {}
 
     def approx(e):
@@ -724,23 +762,20 @@ def reference_verlinde_float(md):
         S = [[approx(e) for e in row] for row in md.S]
         D = approx(global_dim(md))
         W = [[S[z][c].conjugate() / (D * S[0][c]) for c in range(r)] for z in range(r)]
-        planes = []
-        for x in range(r):
-            plane = []
-            for y in range(x + 1):
-                pxy = [a * b for a, b in zip(S[x], S[y])]
-                row = []
-                for w in W:
-                    v = sum(map(operator.mul, pxy, w))
-                    k = round(v.real)
-                    if k < 0 or not abs(v - k) <= 0.25:
-                        return None
-                    row.append(k)
-                plane.append(tuple(row))
-            planes.append(plane)
+        rows = {}
+        for x, y in pairs:
+            pxy = [a * b for a, b in zip(S[x], S[y])]
+            row = []
+            for w in W:
+                v = sum(map(operator.mul, pxy, w))
+                k = round(v.real)
+                if k < 0 or not abs(v - k) <= 0.25:
+                    return None
+                row.append(k)
+            rows[x, y] = tuple(row)
     except (OverflowError, ValueError, ZeroDivisionError):
         return None
-    return planes
+    return rows
 
 
 def test_symmetric_fill_matches_reference_loop():
@@ -754,23 +789,21 @@ def test_symmetric_fill_matches_reference_loop():
     for md in nontrivial + _seeded_data(20241102, 120):
         if not verify(md).ok:
             continue
-        want = reference_verlinde_float(md)
-        assert want is not None, md.name
-        assert _verlinde_float(md) == want, md.name
-        compared += 1
+        # every pair, and the pairs verlinde_fusion leaves over, whose
+        # triples with a simple pair are read from the match
+        planes = _simple_products(md)
+        left = [(x, y) for x, y in all_pairs(md) if planes[x][y] is None]
+        for pairs, got in ((all_pairs(md), float_rows(md)), (left, float_rows(md, planes))):
+            want = reference_verlinde_float(md, pairs)
+            assert want is not None, md.name
+            assert got == want, md.name
+        compared += bool(left)
     assert compared >= 60, compared
 
 
-def test_no_dual_in_the_unit_slice_means_no_float_planes(monkeypatch):
-    one = rational(1)
-    # all-ones S: every M[a][b][c] is 1, so each row of the unit slice
-    # holds two 1s and no object has a unique dual
-    degenerate = ModularDatum(("1", "x"), ((one, one), (one, one)),
-                              (RootOfUnity.one(), RootOfUnity.make(2, 1)))
-    assert _verlinde_float(degenerate) is None
-    # for a unitary S the unit slice S^2 / D is unitary, so it is a
-    # permutation once it rounds to nonnegative integers; these two
-    # unitary data have no charge conjugation, and the slice is not one
+def test_no_charge_conjugation_means_no_float_planes(monkeypatch):
+    # these two unitary data have no charge conjugation, so the float step
+    # has no duals, and pairs are left over after the match
     c3 = pointed_c3()
     g1, g2 = 1, 2
     U = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -787,12 +820,135 @@ def test_no_dual_in_the_unit_slice_means_no_float_planes(monkeypatch):
 
     for md in unitary():
         assert not _unitarity_witness(md), md.name
-        assert _verlinde_float(md) is None, md.name
+        assert _charge_conjugation(md)[0] is None, md.name
+        assert any(row is None for plane in _simple_products(md) for row in plane), md.name
+    exact = [fusion_outcome(_verlinde_exact, md) for md in unitary()]
     reports = [str(verify(md)) for md in unitary()]
-    # the same report when the float step is skipped and the exact formula
-    # is the only path
-    monkeypatch.setattr(modular, "_verlinde_float", lambda md: None)
+
+    def unreachable(md, planes, duals):
+        raise AssertionError("the float step ran without duals")
+
+    # the float step is never called, and the outcome is that of the exact
+    # formula
+    monkeypatch.setattr(modular, "_verlinde_float", unreachable)
+    assert [fusion_outcome(verlinde_fusion, md) for md in unitary()] == exact
     assert [str(verify(md)) for md in unitary()] == reports
+
+
+# --------------------------------------------------- the simple-product match
+
+
+def match_data():
+    """Data of rank 27 to 81 with their fusion tables from the group law or
+    from the exact tensors of the factors, which the exact formula equals:
+    it takes minutes at rank 81, so it is not run on them here."""
+    c3_4 = pointed(MetricGroup.generator_form((3, 3, 3, 3), (1, 1, 1, 1)), name="pointed-c3^4")
+    c27, ising_c9 = planted_data()
+    so5_so5 = deligne_product(so5_level9(1), so5_level9(2))
+    return [
+        (c3_4, group_table((3, 3, 3, 3))),
+        (c27, group_table((27,))),
+        (ising_c9, kron_table(ISING_TABLE, group_table((9,)))),
+        (so5_so5, kron_table(_verlinde_exact(so5_level9(1)).N, _verlinde_exact(so5_level9(2)).N)),
+    ]
+
+
+def fusion_outcome(fn, md):
+    try:
+        return fn(md).N
+    except (NotModularError, DataFormatError) as e:
+        return type(e), str(e)
+
+
+def test_match_first_verlinde_equals_the_exact_formula():
+    for md, table in match_data():
+        assert verlinde_fusion(md).N == table, md.name
+    # _seeded_data starts with the builtins; the failing mutations must
+    # raise what the exact formula raises
+    valid = 0
+    for md in _seeded_data(20261019, 120):
+        want = fusion_outcome(_verlinde_exact, md)
+        assert fusion_outcome(verlinde_fusion, md) == want, md.name
+        valid += not isinstance(want[0], type)
+    assert valid >= 60, valid
+
+
+def test_match_ring_bound_covers_the_simple_products():
+    data = [md for md, _ in match_data()] + _seeded_data(20261019, 40)
+    for md in data:
+        try:
+            global_dim(md)
+        except NotModularError:
+            continue
+        norms = _integral_s(md)[2]
+        top = max(map(max, norms))
+        # a ring for bound B keeps bits = (B + 1).bit_length(), so
+        # 2^bits > B; the bound must be at least 2 top^2
+        ring = _unitarity_images(md)[0]
+        assert ring.bits >= (2 * top * top + 1).bit_length(), md.name
+        assert ring.modulus > (2 * top * top) ** euler_phi(ring.conductor), md.name
+
+
+def simple_count(md):
+    return sum(row is not None for plane in _simple_products(md) for row in plane)
+
+
+def test_every_pair_matches_on_pointed_data():
+    pointed_data = [builtin(n) for n in builtin_names() if n.startswith(("pointed-", "double-"))]
+    pointed_data += [md for md, _ in match_data()[:2]]
+    for md in pointed_data:
+        assert verify(md).ok, md.name
+        assert simple_count(md) == md.rank * (md.rank + 1) // 2, md.name
+
+
+def test_ising_squared_matches_34_of_45_pairs():
+    # (a, b) x (a', b') is simple unless a = a' = sigma or b = b' = sigma,
+    # which rules out 6 + 6 - 1 = 11 of the 45 pairs
+    md = deligne_product(ising(1, 1), ising(3, -1))
+    assert md.rank * (md.rank + 1) // 2 == 45
+    assert simple_count(md) == 34
+    planes = _simple_products(md)
+    for x in range(md.rank):
+        for y in range(x + 1):
+            a, b = md.labels[x][1:-1].split(","), md.labels[y][1:-1].split(",")
+            both = a[0] == b[0] == "sigma" or a[1] == b[1] == "sigma"
+            assert (planes[x][y] is None) == both, (md.labels[x], md.labels[y])
+
+
+def test_builtin_mutations_fail_with_the_reference_witness():
+    for name in builtin_names():
+        md = builtin(name)
+        r, N = md.rank, verlinde_fusion(md).N
+        # one T exponent shifted by one step of zeta_FSexp either way:
+        # balancing must decide as the field reference does, and fail for
+        # some shift (one step can land on a valid datum, as fibonacci-1
+        # does on its complex conjugate)
+        caught = 0
+        for x in range(1, r):
+            for k in (1, -1):
+                T = list(md.T)
+                T[x] = T[x] * RootOfUnity.make(fs_exponent(md), k % fs_exponent(md))
+                bad = ModularDatum(md.labels, md.S, T)
+                got = {c.name: c for c in verify(bad).checks}["balancing"]
+                want = reference_balancing(bad, N)
+                assert (got.passed, got.witness) == (not want, want), (name, x, k)
+                caught += bool(want)
+        assert caught, name
+        # a symmetric change to S off the unit row breaks S Sbar = D I;
+        # Verlinde falls back to the exact formula and reports its outcome
+        S = [list(row) for row in md.S]
+        S[1][r - 1] = S[1][r - 1] + 1
+        S[r - 1][1] = S[1][r - 1]
+        bad = ModularDatum(md.labels, S, md.T)
+        checks = {c.name: c for c in verify(bad).checks}
+        want = reference_unitarity(bad)
+        assert want.startswith("(S Sbar)[")
+        assert checks["s-unitary-scale"].witness == want, name
+        exact = fusion_outcome(_verlinde_exact, bad)
+        integral = checks["verlinde-integrality"]
+        assert integral.passed == (not isinstance(exact[0], type)), name
+        if not integral.passed:
+            assert integral.witness == exact[1], name
 
 
 def test_gauss_sum_is_evaluated_once_per_sign(monkeypatch):
