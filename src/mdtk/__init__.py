@@ -77,13 +77,12 @@ from .bounds import (
     prime_power,
     siegel_check,
 )
-from .catalog_cli import (
-    CatalogEntry,
-    builtin,
-    builtin_names,
-    catalog_entries,
-    load,
-    save,
-)
-
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # imported on first use, so that `python -m mdtk.catalog_cli` runs it once
+    if name in ("CatalogEntry", "builtin", "builtin_names", "catalog_entries", "load", "save"):
+        from . import catalog_cli
+        return getattr(catalog_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -178,7 +178,7 @@ def load(path: str) -> ModularDatum:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DataFormatError(f"not valid JSON: {e}") from None
     return from_dict(obj)
 
@@ -676,8 +676,6 @@ def main(argv=None) -> int:
         return 1
 
 
-# `python -m mdtk.catalog_cli` runs this file a second time, as __main__,
-# after the package has imported it; the entry points are `python -m mdtk`
-# and the `mdtk` script
+# the entry points are `python -m mdtk` and the `mdtk` script
 if __name__ == "__main__":
     sys.exit("error: mdtk.catalog_cli is not runnable; use `python -m mdtk` or `mdtk`")

@@ -70,6 +70,26 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, which is exact for every
+    n below 3,215,031,751 (Pomerance, Selfridge and Wagstaff, 1980)."""
+    if n < 2 or math.gcd(n, 210) != 1:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in (2, 3, 5, 7):
+        # n passes base a when a^d = 1 or some a^(d 2^j), j < s, is -1
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1

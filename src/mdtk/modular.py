@@ -16,9 +16,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from itertools import repeat
+from itertools import accumulate, repeat
 
-from .cyclo import Cyc, ResidueMap, RootOfUnity, _as_root_of_unity, euler_phi, rational
+from .cyclo import Cyc, ResidueMap, RootOfUnity, _as_root_of_unity, _factorize, _is_prime, rational
 
 
 __all__ = [
@@ -404,8 +404,8 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     not a nonnegative integer (or a column of S is zero at the unit row).
 
     When S is unitary, S Sbar^T = D I, and no S[0][c] is zero, the pairs
-    y <= x whose product is simple are decided first, with no floating
-    point.  With A = L S integral, suppose that
+    y <= x whose product is simple are decided first.  With A = L S
+    integral, suppose that
 
         A[x][c] A[y][c] = A[0][c] A[z][c]    for every column c.
 
@@ -421,31 +421,28 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     its c = 0 residue is that of some z (see `_simple_products`).  Every
     (x, 0) pair matches, and on pointed data every pair does.
 
-    The pairs left over are evaluated in floating point, one value per
-    sorted triple they need, with the duals C read off the charge
-    conjugation conj(S[z]) = S[C(z)] (see `_verlinde_float`).  The rounded
-    values are accepted only after an exact certificate:
+    The pairs left over get candidate values from the formula in F_p for
+    a prime p = 1 mod N, one value per sorted triple they need, with the
+    duals C read off the charge conjugation conj(S[z]) = S[C(z)] (see
+    `_verlinde_candidates`).  The candidates are accepted only after an
+    exact certificate:
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
     for every pair left over and every column c.  Since S^-1 = Sbar^T / D,
-    this proves that the rounded integers equal the formula.  It is decided
-    in Z/m, which is exact: with L S integral, the map zeta_N -> w = 2^b
-    onto Z/m, m = |Phi_N(w)|, sends a nonzero x to 0 only if m divides its
-    norm, and m > B^phi(N) with B bounding every |sigma(x)|.  B is taken
-    through the factors, sum ||a||_1 ||b||_1 + ||c||_1 for x = sum a b - c,
-    never from x itself (see `ResidueMap`).  When S is not unitary, a
+    this proves that the candidates equal the formula.  It is decided
+    exactly in Z/m (see `_verlinde_certified`).  When S is not unitary, a
     column has S[0][c] = 0, pairs are left over and S has no charge
-    conjugation, a float is not within 0.25 of a nonnegative integer, or
-    the certificate fails, the formula is evaluated exactly instead, which
-    returns the same tensor or raises the witness.
+    conjugation, some D S[0][c] is 0 mod p, or the certificate fails, the
+    formula is evaluated exactly instead, which returns the same tensor or
+    raises the witness.
     """
     if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
         return _verlinde_exact(md)
     planes = _simple_products(md)
     if any(None in plane for plane in planes):
         duals = _charge_conjugation(md)[0]
-        rows = None if duals is None else _verlinde_float(md, planes, duals)
+        rows = None if duals is None else _verlinde_candidates(md, planes, duals)
         if rows is None or not _verlinde_certified(md, rows):
             return _verlinde_exact(md)
         for (x, y), row in rows.items():
@@ -492,12 +489,35 @@ def _simple_products(md: ModularDatum):
     return planes
 
 
-def _verlinde_float(md: ModularDatum, planes, duals):
+def _candidate_prime(N: int) -> tuple[int, int]:
+    """The largest prime p < 2^30 with p = 1 mod N, and z = h^((p - 1) / N)
+    of order exactly N for the least h >= 2; a generator h of F_p* passes."""
+    for p in range((2**30 - 2) // N * N + 1, N, -N):
+        if _is_prime(p):
+            for h in range(2, p):
+                z = pow(h, (p - 1) // N, p)
+                if all(pow(z, N // ell, p) != 1 for ell, _ in _factorize(N)):
+                    return p, z
+    raise ValueError(f"no prime below 2^30 is 1 mod {N}")
+
+
+def _verlinde_candidates(md: ModularDatum, planes, duals):
     """{(x, y): N[x][y]} for the pairs y <= x with planes[x][y] None, from
-    the Verlinde formula in floating point, rounded to integers; None when
-    a value is not within 0.25 of a nonnegative integer or does not fit in
-    a float.  The other planes[x][y] must be the simple products, and
-    duals[z] the row of S equal to conj(S[z]).
+    the Verlinde formula in F_p, each value its least nonnegative residue;
+    None when S is not integral or some D S[0][c] is 0 mod p.  The other
+    planes[x][y] must be the simple products, and duals[z] the row of S
+    equal to conj(S[z]).
+
+    With N the lcm of the S conductors and (p, z) from `_candidate_prime`,
+    zeta_N -> z is a ring map Z[zeta_N] -> F_p: Phi_N(z) = 0 in F_p, since
+    z^N = 1, x^N - 1 is the product of the Phi_d over d | N, and
+    Phi_d(z) = 0 would give z^d = 1, which the order of z rules out for
+    d < N.  Multiplied by the product of the D S[0][s], the sum M below
+    is an identity in Z[zeta_N], so when none of them maps to 0, a
+    multiplicity n with 0 <= n < p is returned as n.  An S that is not
+    integral has no integral fusion rules: S[x][c] / S[0][c] is an
+    eigenvalue of the matrix N[x], so S[x][0] and then S[x][c] =
+    S[0][c] S[x][c] / S[0][c] are algebraic integers.
 
     The loop evaluates
 
@@ -509,44 +529,37 @@ def _verlinde_float(md: ModularDatum, planes, duals):
     the coefficient N_abc of Bakalov and Kirillov ("Lectures on tensor
     categories and modular functors", 2001, 3.1), which is invariant under
     all of S_3.  So N[x][y][z] = M[x][y][z*] is read from the sorted
-    store, and at a simple pair a tensor b = u no float is needed:
+    store, and at a simple pair a tensor b = u nothing is evaluated:
     M[a][b][c] = planes[a][b][c*].  The formula over the same pairs takes
     r dot products per pair.
 
     None of this is assumed: `verlinde_fusion` accepts the values only
     after `_verlinde_certified`.
     """
-    zetas: dict[int, list[complex]] = {}
-
-    def approx(e: Cyc) -> complex:
-        zs = zetas.get(e.n)
-        if zs is None:
-            t = 2 * math.pi / e.n
-            zs = zetas[e.n] = [
-                complex(math.cos(t * k), math.sin(t * k)) for k in range(euler_phi(e.n))
-            ]
-        return sum(v * z for v, z in zip(e.num, zs) if v) / e.den
-
     r = md.rank
-    left = [(x, y) for x, plane in enumerate(planes) for y, simple in enumerate(plane) if simple is None]
-    # M[a, b] holds the rounded M[a][b][c] for c <= b, at the pairs left over
-    M: dict[tuple[int, int], list[int]] = {}
-    try:
-        S = [[approx(e) for e in row] for row in md.S]
-        D = approx(global_dim(md))
-        W = [[S[c][s] / (D * S[0][s]) for s in range(r)] for c in range(r)]
-        for a, b in left:
-            pab = list(map(operator.mul, S[a], S[b]))
-            row = []
-            for w in W[: b + 1]:
-                v = sum(map(operator.mul, pab, w))
-                k = round(v.real)
-                if k < 0 or not abs(v - k) <= 0.25:
-                    return None
-                row.append(k)
-            M[a, b] = row
-    except (OverflowError, ValueError, ZeroDivisionError):
+    L, N, _ = _integral_s(md)
+    if L != 1:
         return None
+    p, z = _candidate_prime(N)
+    powers = list(accumulate(repeat(z, N - 1), lambda u, v: u * v % p, initial=1))
+
+    def image(e: Cyc) -> int:
+        # e in Z[zeta_n]: zeta_n^i is zeta_N^(iN/n)
+        step = N // e.n
+        return sum(v * powers[i * step] for i, v in enumerate(e.num) if v) % p
+
+    A = [[image(e) for e in row] for row in md.S]
+    d = image(global_dim(md))
+    if d == 0 or 0 in A[0]:
+        return None
+    inverses = [pow(d * a, -1, p) for a in A[0]]
+    W = [[a * v % p for a, v in zip(row, inverses)] for row in A]
+    left = [(x, y) for x, plane in enumerate(planes) for y, simple in enumerate(plane) if simple is None]
+    # M[a, b] holds M[a][b][c] for c <= b, at the pairs left over
+    M: dict[tuple[int, int], list[int]] = {}
+    for a, b in left:
+        pab = [u * v % p for u, v in zip(A[a], A[b])]
+        M[a, b] = [sum(map(operator.mul, pab, w)) % p for w in W[: b + 1]]
 
     def line(x, y):
         """M at the sorted (x, y, w) for every w, given y <= x."""
@@ -678,15 +691,10 @@ def verify(md: ModularDatum) -> VerificationReport:
     Verlinde integrality both pass.
 
     Unitarity, charge conjugation, the Verlinde certificate and balancing
-    are decided in Z/m, one integer per field element (`ResidueMap`).  With
-    L the lcm of the S denominators, L S and L^2 D lie in Z[zeta_N], and
-    zeta_N -> w = 2^b maps Z[zeta_N] onto Z/m with m = |Phi_N(w)| >
-    B^phi(N).  Each relation is a difference x = sum_k a_k b_k - c of
-    integral values, and B = sum_k ||a_k||_1 ||b_k||_1 + ||c||_1, taken
-    through the factors, bounds every |sigma(x)|.  If x != 0 mapped to 0,
-    m would divide the norm of x, which lies strictly between 0 and
-    B^phi(N) < m in absolute value.  So each relation is decided exactly,
-    and the first failing index is reported.
+    are decided in Z/m, one integer per field element, with L S integral
+    and a bound on each relation taken through its factors; `ResidueMap`
+    proves that this is exact.  The first failing index is reported.  The
+    Verlinde candidates are computed in F_p, so no check uses a float.
     """
     checks: list[Check] = []
     labels = md.labels

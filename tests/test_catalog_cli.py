@@ -252,6 +252,16 @@ def test_cli_non_integer_json_number_is_one_error_line(tmp_path, capsys):
         assert err.startswith("error: bad matrix entry: ") and err.count("\n") == 1, err
 
 
+def test_cli_deeply_nested_entry_is_one_error_line(tmp_path, capsys):
+    # this deep, json.load raises RecursionError, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    text = json.dumps({"labels": ["1"], "S": [["entry"]], "T": [{"m": 1, "k": 0}]})
+    bad.write_text(text.replace('"entry"', "[" * 5000 + "]" * 5000))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1, err
+
+
 def negative_dim_dict():
     """Rank 3 with S = [[1, i, i], [i, 1, 0], [i, 0, 1]] and T = (1, z4^3, z4):
     D = 1 + i^2 + i^2 = -1, tau+ = 1 - z4 - z4^3 = 1, anomaly -1."""
@@ -317,8 +327,10 @@ def test_python_m_mdtk_catalog_cli_fails_and_names_the_entry_point():
     )
     assert proc.returncode != 0
     assert proc.stdout == ""
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("error: ") and "`python -m mdtk`" in last, proc.stderr
+    # one line, with no runpy warning before it
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "`python -m mdtk`" in lines[0], proc.stderr
 
 
 def test_cli_product_caps_the_conductor_before_multiplying(tmp_path, capsys):

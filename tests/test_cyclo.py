@@ -20,6 +20,7 @@ from mdtk.cyclo import (
     ResidueMap,
     RootOfUnity,
     _as_root_of_unity,
+    _is_prime,
     _power_basis,
     cyclotomic_poly,
     divisors,
@@ -330,6 +331,23 @@ def test_divisors():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert divisors(1) == (1,)
     assert divisors(49) == (1, 7, 49)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    rng = random.Random(17)
+    # with Carmichael numbers prime to 2, 3, 5 and 7, which pass every
+    # Fermat test
+    carmichael = [29341, 46657, 75361, 115921, 162401]
+    sample = list(range(3000)) + carmichael + [rng.randrange(2**29, 2**30) for _ in range(300)]
+    for n in sample:
+        assert _is_prime(n) == trial(n), n
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5 and
+    # 2, 3, 5, 7: the four bases are exact below the last one
+    assert not any(map(_is_prime, (2047, 1373653, 25326001)))
+    assert _is_prime(3215031751) and not trial(3215031751)
 
 
 def test_units_mod():

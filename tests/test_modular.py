@@ -11,7 +11,7 @@ import pytest
 
 from mdtk import modular
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.cyclo import Cyc, RootOfUnity, euler_phi, rational, root_of_unity
+from mdtk.cyclo import Cyc, RootOfUnity, cyclotomic_poly, euler_phi, rational, root_of_unity
 from mdtk.construct import (
     MetricGroup,
     deligne_product,
@@ -29,8 +29,8 @@ from mdtk.modular import (
     _unitarity_images,
     _unitarity_witness,
     _verlinde_certified,
+    _verlinde_candidates,
     _verlinde_exact,
-    _verlinde_float,
     DataFormatError,
     FusionTensor,
     ModularDatum,
@@ -433,15 +433,15 @@ def test_certified_verlinde_matches_exact_formula():
     ]
     for md, pinned in cases:
         # the certified path is the one taken, not the fallback
-        assert _verlinde_certified(md, float_rows(md)), md.name
+        assert _verlinde_certified(md, candidate_rows(md)), md.name
         N = verlinde_fusion(md).N
         assert N == _verlinde_exact(md).N, md.name
         if pinned is not None:
             assert N == pinned, md.name
 
 
-def test_verlinde_certificate_rejects_a_wrong_float(monkeypatch):
-    real = modular._verlinde_float
+def test_verlinde_certificate_rejects_a_wrong_candidate(monkeypatch):
+    real = modular._verlinde_candidates
     calls = []
 
     def off_by_one(md, planes, duals):
@@ -452,7 +452,7 @@ def test_verlinde_certificate_rejects_a_wrong_float(monkeypatch):
         calls.append(md)
         return rows
 
-    monkeypatch.setattr(modular, "_verlinde_float", off_by_one)
+    monkeypatch.setattr(modular, "_verlinde_candidates", off_by_one)
     md = so5_level9(1)
     ft = verlinde_fusion(md)
     assert len(calls) == 1
@@ -547,15 +547,15 @@ def all_pairs(md):
     return [(x, y) for x in range(md.rank) for y in range(x + 1)]
 
 
-def float_rows(md, planes=None):
-    """The rounded float values of N[x][y] for the pairs y <= x left open
-    in planes, all of them by default, with the duals of the charge
-    conjugation; None when S has no charge conjugation or a value is
-    rejected."""
+def candidate_rows(md, planes=None):
+    """The candidate values of N[x][y] for the pairs y <= x left open in
+    planes, all of them by default, with the duals of the charge
+    conjugation; None when S has no charge conjugation, S is not integral
+    or some D S[0][c] is 0 mod p."""
     duals = _charge_conjugation(md)[0]
     if planes is None:
         planes = [[None] * (x + 1) for x in range(md.rank)]
-    return None if duals is None else _verlinde_float(md, planes, duals)
+    return None if duals is None else _verlinde_candidates(md, planes, duals)
 
 
 def complete(rows):
@@ -606,7 +606,7 @@ def test_verify_decisions_match_field_references():
                 assert (got.passed, got.witness) == (not cwant, cwant), md.name
         rows = None
         if not want and all(not e.is_zero() for e in md.S[0]):
-            rows = float_rows(md)
+            rows = candidate_rows(md)
         if rows is not None:
             try:
                 exact = _verlinde_exact(md).N
@@ -650,7 +650,7 @@ def test_planted_errors_are_caught(md):
         assert want and _unitarity_witness(bad) == want
         assert not verify(bad).ok
     # one rounded fusion multiplicity raised by 1
-    rows = float_rows(md)
+    rows = candidate_rows(md)
     assert _verlinde_certified(md, rows)
     for _ in range(3):
         x, z = rng.randrange(r), rng.randrange(r)
@@ -738,7 +738,7 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
     assert rings == {2, 3}
 
 
-# ------------------------------------------ the symmetric float Verlinde fill
+# ------------------------------------------------ the symmetric Verlinde fill
 
 
 def reference_verlinde_float(md, pairs):
@@ -793,7 +793,7 @@ def test_symmetric_fill_matches_reference_loop():
         # triples with a simple pair are read from the match
         planes = _simple_products(md)
         left = [(x, y) for x, y in all_pairs(md) if planes[x][y] is None]
-        for pairs, got in ((all_pairs(md), float_rows(md)), (left, float_rows(md, planes))):
+        for pairs, got in ((all_pairs(md), candidate_rows(md)), (left, candidate_rows(md, planes))):
             want = reference_verlinde_float(md, pairs)
             assert want is not None, md.name
             assert got == want, md.name
@@ -801,9 +801,9 @@ def test_symmetric_fill_matches_reference_loop():
     assert compared >= 60, compared
 
 
-def test_no_charge_conjugation_means_no_float_planes(monkeypatch):
-    # these two unitary data have no charge conjugation, so the float step
-    # has no duals, and pairs are left over after the match
+def test_no_charge_conjugation_means_no_candidate_planes(monkeypatch):
+    # these two unitary data have no charge conjugation, so the candidate
+    # step has no duals, and pairs are left over after the match
     c3 = pointed_c3()
     g1, g2 = 1, 2
     U = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
@@ -826,13 +826,108 @@ def test_no_charge_conjugation_means_no_float_planes(monkeypatch):
     reports = [str(verify(md)) for md in unitary()]
 
     def unreachable(md, planes, duals):
-        raise AssertionError("the float step ran without duals")
+        raise AssertionError("the candidate step ran without duals")
 
-    # the float step is never called, and the outcome is that of the exact
-    # formula
-    monkeypatch.setattr(modular, "_verlinde_float", unreachable)
+    # the candidate step is never called, and the outcome is that of the
+    # exact formula
+    monkeypatch.setattr(modular, "_verlinde_candidates", unreachable)
     assert [fusion_outcome(verlinde_fusion, md) for md in unitary()] == exact
     assert [str(verify(md)) for md in unitary()] == reports
+
+
+# ------------------------------------------------------ the candidates in F_p
+
+
+def candidate_data():
+    """The data of _seeded_data(20261019, 120) that pass unitarity and
+    charge conjugation and have no S[0][c] zero: the candidate step runs
+    on every one of them, and each has a fusion table."""
+    out = []
+    for md in _seeded_data(20261019, 120):
+        try:
+            global_dim(md)
+        except NotModularError:
+            continue
+        if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
+            continue
+        if _charge_conjugation(md)[0] is not None:
+            out.append(md)
+    return out
+
+
+def kronecker_data():
+    """so5 x so5 and ising x fib x so5, rank 36, with their fusion tables
+    from the factors."""
+    so5_1, so5_2 = so5_level9(1), so5_level9(2)
+    triple = deligne_product(deligne_product(ising(3, -1), fibonacci(2)), so5_1)
+    return [
+        (deligne_product(so5_1, so5_2), kron_table(_verlinde_exact(so5_1).N, _verlinde_exact(so5_2).N)),
+        (triple, kron_table(kron_table(ISING_TABLE, FIB_TABLE), _verlinde_exact(so5_1).N)),
+    ]
+
+
+def test_candidate_prime_gives_a_root_of_phi_n():
+    for N in (1, 2, 5, 8, 9, 40, 360, 720, 960, 8640):
+        p, z = modular._candidate_prime(N)
+        assert p < 2**30 and (p - 1) % N == 0, N
+        assert all(p % q for q in range(2, math.isqrt(p) + 1)), N
+        # no larger prime below 2^30 is 1 mod N
+        for q in range(p + N, 2**30, N):
+            assert any(q % f == 0 for f in range(2, math.isqrt(q) + 1)), (N, q)
+        assert pow(z, N, p) == 1 and all(pow(z, k, p) != 1 for k in range(1, N)), N
+        phi = cyclotomic_poly(N)
+        assert sum(c * pow(z, i, p) for i, c in enumerate(phi)) % p == 0, N
+
+
+def test_candidate_rows_equal_the_exact_formula():
+    data = candidate_data()
+    assert len(data) >= 100, len(data)
+    for md in data:
+        assert complete(candidate_rows(md)) == _verlinde_exact(md).N, md.name
+    for md, table in kronecker_data():
+        assert complete(candidate_rows(md)) == table, md.name
+
+
+def test_valid_data_never_reach_the_exact_formula(monkeypatch):
+    cases = [(md, _verlinde_exact(md).N) for md in candidate_data()] + kronecker_data()
+    calls = []
+    monkeypatch.setattr(modular, "_verlinde_exact", calls.append)
+    for md, want in cases:
+        # a fresh datum, so that no fusion tensor is kept on it yet
+        fresh = ModularDatum(md.labels, md.S, md.T, name=md.name)
+        assert verlinde_fusion(fresh).N == want, md.name
+    assert calls == []
+
+
+def test_no_candidates_for_a_non_integral_s():
+    # halving the entry of tau at tau leaves S symmetric and S[0] as it is;
+    # a fusion table needs an integral S, so the exact formula must raise
+    fib = fibonacci(1)
+    S = [list(row) for row in fib.S]
+    S[1][1] = S[1][1] * rational(Fraction(1, 2))
+    md = ModularDatum(fib.labels, S, fib.T)
+    with pytest.raises(NotModularError):
+        _verlinde_exact(md)
+    assert _verlinde_candidates(md, [[None], [None, None]], (0, 1)) is None
+
+
+def test_a_weight_zero_mod_p_falls_back_to_the_exact_formula(monkeypatch):
+    md = deligne_product(fibonacci(1), fibonacci(2))
+    assert any(None in plane for plane in _simple_products(md))
+    want = _verlinde_exact(md).N
+
+    def five(N):
+        # zeta_5 -> 1 is a ring map Z[zeta_5] -> F_5, since Phi_5(1) = 5;
+        # it sends sqrt(5), and with it D, to 0
+        assert N == 5
+        return 5, 1
+
+    monkeypatch.setattr(modular, "_candidate_prime", five)
+    assert candidate_rows(md) is None
+    real, calls = modular._verlinde_exact, []
+    monkeypatch.setattr(modular, "_verlinde_exact", lambda md: calls.append(md) or real(md))
+    assert verlinde_fusion(md).N == want
+    assert calls == [md]
 
 
 # --------------------------------------------------- the simple-product match
