@@ -14,13 +14,11 @@ bound for totally positive algebraic integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import Cyc, _factorize, rational, units_mod
-from .construct import MetricGroup, deligne_product, fibonacci, ising, pointed
-from .galois import orbit_t
 from .modular import (
     FusionTensor,
     ModularDatum,
@@ -54,8 +52,10 @@ def prime_power(n: int) -> int | None:
     return factors[0][0] if len(factors) == 1 else None
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(namedtuple(
+    "BoundVerdict", "name fsexp ndim prime bound_holds extremal tier extremal_class",
+    defaults=(None,),
+)):
     """Outcome of the T order bound for one datum.
 
     prime is None when the T order is not a prime power (the bound is then
@@ -66,14 +66,7 @@ class BoundVerdict:
     that are not pseudo-unitary is outside the classified case, not a gap.
     """
 
-    name: str
-    fsexp: int
-    ndim: int
-    prime: int | None
-    bound_holds: bool
-    extremal: bool
-    tier: int | None
-    extremal_class: str | None = None
+    __slots__ = ()
 
     def __str__(self):
         if self.prime is None:
@@ -112,7 +105,7 @@ def bound_check(md: ModularDatum, classify: bool = False) -> BoundVerdict:
     FSexp <= 4 Ndim (p = 2) and detect equality tiers."""
     v = _verdict(md.name or "datum", fs_exponent(md), ndim(md))
     if classify and v.extremal:
-        v = replace(v, extremal_class=extremal_classify(md))
+        v = v._replace(extremal_class=extremal_classify(md))
     return v
 
 
@@ -120,8 +113,10 @@ def bound_check(md: ModularDatum, classify: bool = False) -> BoundVerdict:
 # the per-object orbit bound
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(namedtuple(
+    "LemmaVerdict", "label applicable note orbit_labels orbit_sum degree m_value holds",
+    defaults=("", (), None, None, None, None),
+)):
     """Result of the orbit bound for one object: the sum of squared
     dimensions over the squared-Galois suborbit must be at least
     [Q(t[X]) real part : Q] * M(dim X), where M is the mean squared
@@ -132,14 +127,7 @@ class LemmaVerdict:
     rational integer, so holds=False on other data with integer global
     dimension, such as the unit of Ising, is not a violation."""
 
-    label: str
-    applicable: bool
-    note: str = ""
-    orbit_labels: tuple[str, ...] = ()
-    orbit_sum: Cyc | None = None
-    degree: int | None = None
-    m_value: Fraction | None = None
-    holds: bool | None = None
+    __slots__ = ()
 
     def __str__(self):
         if not self.applicable:
@@ -178,6 +166,8 @@ def lemma_orbit_bound(md: ModularDatum, label: str) -> LemmaVerdict:
             applicable=False,
             note="global dimension is not a rational integer",
         )
+    from .galois import orbit_t
+
     deg = _square_galois_degree(normalized_t(md)[1][x].order)
     m_val = dims(md)[x].m_measure()
     labels, total = orbit_t(md, label)
@@ -229,33 +219,30 @@ def siegel_check(alpha) -> bool:
 # classification of the extremal fusion rings
 
 
-def _ising_x_pointed(*orders: int) -> ModularDatum:
-    return deligne_product(
-        ising(1, 1), pointed(MetricGroup.generator_form(orders, (1,) * len(orders)))
-    )
-
-
-# the non-pointed extremal fusion rings, by rank: a class name and a datum
-# of the library that has the ring
-_TEMPLATE_DATA = {
-    2: (("fibonacci", lambda: fibonacci(1)),),
-    3: (("ising-x-pointed(1)", lambda: ising(1, 1)),),
-    6: (("ising-x-pointed(2)", lambda: _ising_x_pointed(2)),),
-    9: (("ising-x-ising", lambda: deligne_product(ising(1, 1), ising(1, 1))),),
-    12: (
-        ("ising-x-pointed(4)", lambda: _ising_x_pointed(4)),
-        ("ising-x-pointed(4)", lambda: _ising_x_pointed(2, 2)),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def _templates(rank: int) -> tuple[tuple[str, FusionTensor], ...]:
     """The Verlinde fusion rings of the template data of this rank; data of
     other ranks are not built."""
-    return tuple(
-        (name, verlinde_fusion(build())) for name, build in _TEMPLATE_DATA.get(rank, ())
-    )
+    from .construct import MetricGroup, deligne_product, fibonacci, ising, pointed
+
+    def ising_x_pointed(*orders: int) -> ModularDatum:
+        return deligne_product(
+            ising(1, 1), pointed(MetricGroup.generator_form(orders, (1,) * len(orders)))
+        )
+
+    # the non-pointed extremal fusion rings, by rank: a class name and a
+    # datum of the library that has the ring
+    data = {
+        2: (("fibonacci", lambda: fibonacci(1)),),
+        3: (("ising-x-pointed(1)", lambda: ising(1, 1)),),
+        6: (("ising-x-pointed(2)", lambda: ising_x_pointed(2)),),
+        9: (("ising-x-ising", lambda: deligne_product(ising(1, 1), ising(1, 1))),),
+        12: (
+            ("ising-x-pointed(4)", lambda: ising_x_pointed(4)),
+            ("ising-x-pointed(4)", lambda: ising_x_pointed(2, 2)),
+        ),
+    }
+    return tuple((name, verlinde_fusion(build())) for name, build in data.get(rank, ()))
 
 
 def _signature(ft: FusionTensor, x: int) -> tuple:

@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclo import Cyc, RootOfUnity
@@ -30,7 +30,6 @@ from .modular import (
     ModularDatum,
     _integer_norm,
     anomaly,
-    data_equal,
     dims,
     fpdim_pseudounitary,
     fs_exponent,
@@ -42,29 +41,6 @@ from .modular import (
     symmetric_center,
     verify,
     verlinde_fusion,
-)
-from .construct import (
-    MetricGroup,
-    deligne_product,
-    double_abelian,
-    fibonacci,
-    ising,
-    pointed,
-    so5_level9,
-)
-from .galois import (
-    conjugate_category,
-    orbit,
-    orbit_t,
-    verify_galois_identities,
-    working_conductor,
-)
-from .bounds import (
-    BoundVerdict,
-    _verdict,
-    bound_check,
-    lemma_orbit_bound,
-    prime_power,
 )
 
 __all__ = [
@@ -187,11 +163,8 @@ def load(path: str) -> ModularDatum:
 # builtin catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    source: str
-    notes: str
+class CatalogEntry(namedtuple("CatalogEntry", "name source notes")):
+    __slots__ = ()
 
     @property
     def datum(self) -> ModularDatum:
@@ -199,13 +172,14 @@ class CatalogEntry:
 
 
 def _builtin_defs():
+    # each builder takes the construct module, imported by `builtin`
     defs = []
     for j in (1, 3, 5, 7, 9, 11, 13, 15):
         for eps, tag in ((1, "p"), (-1, "m")):
             defs.append(
                 (
                     f"ising-{j}-{tag}",
-                    lambda j=j, eps=eps: ising(j, eps),
+                    lambda c, j=j, eps=eps: c.ising(j, eps),
                     "rank 3; T order 16; the square root of two object",
                 )
             )
@@ -213,7 +187,7 @@ def _builtin_defs():
         defs.append(
             (
                 f"fibonacci-{j}",
-                lambda j=j: fibonacci(j),
+                lambda c, j=j: c.fibonacci(j),
                 "rank 2; golden ratio dimensions; T order 5",
             )
         )
@@ -221,7 +195,7 @@ def _builtin_defs():
         defs.append(
             (
                 f"so5level9-{j}",
-                lambda j=j: so5_level9(j),
+                lambda c, j=j: c.so5_level9(j),
                 "rank 6 at conductor 9; integer global dimension 9, "
                 "irrational object dimensions",
             )
@@ -230,7 +204,7 @@ def _builtin_defs():
         defs.append(
             (
                 f"pointed-c{n}",
-                lambda n=n: pointed(MetricGroup.generator_form((n,), (1,))),
+                lambda c, n=n: c.pointed(c.MetricGroup.generator_form((n,), (1,))),
                 f"pointed on Z/{n} with q(g) = zeta^(g^2)",
             )
         )
@@ -238,7 +212,7 @@ def _builtin_defs():
         defs.append(
             (
                 f"double-c{n}",
-                lambda n=n: double_abelian((n,)),
+                lambda c, n=n: c.double_abelian((n,)),
                 f"hyperbolic double of Z/{n}; trivial anomaly",
             )
         )
@@ -256,7 +230,9 @@ def builtin_names() -> tuple[str, ...]:
 def builtin(name: str) -> ModularDatum:
     if name not in _DEFS:
         raise DataFormatError(f"no builtin named {name!r}")
-    return _DEFS[name][0]()
+    from . import construct
+
+    return _DEFS[name][0](construct)
 
 
 def catalog_entries() -> tuple[CatalogEntry, ...]:
@@ -293,6 +269,8 @@ def _product_bound(a: ModularDatum, b: ModularDatum) -> BoundVerdict | None:
     None when the product T order is not a prime power, and raises
     NotModularError when the norm of the product's global dimension is not
     a positive integer."""
+    from .bounds import _verdict, prime_power
+
     fs = math.lcm(fs_exponent(a), fs_exponent(b))
     if prime_power(fs) is None:
         return None
@@ -305,6 +283,8 @@ def catalog_sweep(out=None) -> bool:
     integral entries, spot check the Galois identities on unit group
     generators, and re-check the bound on every pairwise tensor product
     with prime power T order.  Returns True when everything is clean."""
+    from .bounds import bound_check, lemma_orbit_bound
+    from .galois import verify_galois_identities
 
     def emit(line: str):
         if out is not None:
@@ -420,6 +400,8 @@ def _emit_datum(md: ModularDatum, path: str | None, out) -> None:
 
 
 def _cmd_construct(args, out) -> int:
+    from .construct import MetricGroup, double_abelian, fibonacci, ising, pointed, so5_level9
+
     try:
         if args.family == "pointed":
             orders = tuple(args.orders)
@@ -443,7 +425,7 @@ def _cmd_verify(args, out) -> int:
     md = _resolve(args.datum)
     rep = verify(md)
     if args.json:
-        json.dump({"name": md.name, "ok": rep.ok, "checks": [asdict(c) for c in rep.checks]}, out)
+        json.dump({"name": md.name, "ok": rep.ok, "checks": [c._asdict() for c in rep.checks]}, out)
         out.write("\n")
     else:
         out.write(str(rep) + "\n")
@@ -496,6 +478,8 @@ def _cmd_fusion(args, out) -> int:
 
 
 def _cmd_orbits(args, out) -> int:
+    from .galois import orbit, orbit_t, working_conductor
+
     md = _resolve(args.datum)
     rows = []
     for lab in md.labels:
@@ -527,6 +511,8 @@ def _cmd_orbits(args, out) -> int:
 
 
 def _cmd_conjugate(args, out) -> int:
+    from .galois import conjugate_category
+
     md = _resolve(args.datum)
     try:
         res = conjugate_category(md, args.k)
@@ -537,6 +523,8 @@ def _cmd_conjugate(args, out) -> int:
 
 
 def _cmd_product(args, out) -> int:
+    from .construct import deligne_product
+
     a = _resolve(args.left)
     b = _resolve(args.right)
     _check_conductor_cap([e.n for md in (a, b) for row in md.S for e in row]
@@ -546,10 +534,12 @@ def _cmd_product(args, out) -> int:
 
 
 def _cmd_bound_check(args, out) -> int:
+    from .bounds import bound_check
+
     md = _resolve(args.datum)
     v = bound_check(md, classify=args.classify)
     if args.json:
-        json.dump(asdict(v), out)
+        json.dump(v._asdict(), out)
         out.write("\n")
     else:
         out.write(str(v) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclo import Cyc, RootOfUnity, rational, root_of_unity
 from .modular import DataFormatError, ModularDatum
@@ -33,22 +33,20 @@ __all__ = [
 # pointed data
 
 
-@dataclass(frozen=True)
-class MetricGroup:
+class MetricGroup(namedtuple("MetricGroup", "orders q")):
     """A finite abelian group prod_i Z/orders[i] together with a quadratic
     form q into the roots of unity, tabulated on the elements in row major
     order (itertools.product order)."""
 
-    orders: tuple[int, ...]
-    q: tuple[RootOfUnity, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.orders or any(n < 1 for n in self.orders):
-            raise DataFormatError(f"bad group orders {self.orders}")
-        if len(self.q) != self.size:
-            raise DataFormatError(
-                f"q has {len(self.q)} values for a group of size {self.size}"
-            )
+    def __new__(cls, orders: tuple[int, ...], q: tuple[RootOfUnity, ...]):
+        if not orders or any(n < 1 for n in orders):
+            raise DataFormatError(f"bad group orders {orders}")
+        size = math.prod(orders)
+        if len(q) != size:
+            raise DataFormatError(f"q has {len(q)} values for a group of size {size}")
+        return tuple.__new__(cls, (orders, q))
 
     @property
     def size(self) -> int:
@@ -288,23 +286,22 @@ def deligne_product(a: ModularDatum, b: ModularDatum) -> ModularDatum:
 # twisted group data without a full construction
 
 
-@dataclass(frozen=True)
-class CocycleSpec:
+class CocycleSpec(namedtuple("CocycleSpec", "orders exps")):
     """A 3-cocycle on prod_i Z/orders[i], the product of the type-I cocycles
 
         omega_a(x, y, z) = exp(2 pi i a x (y + z - [y + z]_n) / n^2)
 
     on the factors Z/n, with a = exps[i] and [.]_n the residue in [0, n)."""
 
-    orders: tuple[int, ...]
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.exps) != len(self.orders):
+    def __new__(cls, orders: tuple[int, ...], exps: tuple[int, ...]):
+        if len(exps) != len(orders):
             raise DataFormatError("one exponent per cyclic factor is required")
-        for a, n in zip(self.exps, self.orders):
+        for a, n in zip(exps, orders):
             if not 0 <= a < n:
                 raise DataFormatError(f"exponent {a} out of range for Z/{n}")
+        return tuple.__new__(cls, (orders, exps))
 
 
 def fsexp_vec_g_omega(spec: CocycleSpec) -> int:

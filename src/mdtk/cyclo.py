@@ -26,10 +26,9 @@ interval loop terminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "Cyc",
@@ -225,14 +224,11 @@ def _power_basis(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 # certified embeddings
 
 
-@dataclass(frozen=True)
-class ComplexInterval:
+class ComplexInterval(namedtuple("ComplexInterval", "re im radius")):
     """Exact dyadic complex ball: re, im and radius are Fractions whose
     denominators are powers of 2, and |true value - (re + i*im)| <= radius."""
 
-    re: Fraction
-    im: Fraction
-    radius: Fraction
+    __slots__ = ()
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -859,24 +855,21 @@ def _as_root_of_unity(x: Cyc) -> "RootOfUnity | None":
 # roots of unity as (order, exponent) pairs
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(namedtuple("RootOfUnity", "order exponent")):
     """zeta_order^exponent in lowest terms: gcd(exponent, order) = 1 and the
     stored order is the true multiplicative order."""
 
-    order: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1 or not 0 <= self.exponent < max(self.order, 1):
-            raise ValueError(f"bad root of unity ({self.order}, {self.exponent})")
-        if self.order == 1:
-            if self.exponent != 0:
+    def __new__(cls, order: int, exponent: int):
+        if order < 1 or not 0 <= exponent < max(order, 1):
+            raise ValueError(f"bad root of unity ({order}, {exponent})")
+        if order == 1:
+            if exponent != 0:
                 raise ValueError("order 1 forces exponent 0")
-        elif math.gcd(self.exponent, self.order) != 1:
-            raise ValueError(
-                f"({self.order}, {self.exponent}) is not in lowest terms"
-            )
+        elif math.gcd(exponent, order) != 1:
+            raise ValueError(f"({order}, {exponent}) is not in lowest terms")
+        return tuple.__new__(cls, (order, exponent))
 
     @staticmethod
     def make(m: int, k: int) -> "RootOfUnity":

@@ -15,10 +15,9 @@ failure (see `_first_failure`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclo import Cyc, rational, unit_group_generators, units_mod
-from .construct import deligne_product
 from .modular import (
     Check,
     DegenerateDataError,
@@ -47,13 +46,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaloisPermutation:
+class GaloisPermutation(namedtuple("GaloisPermutation", "k mapping labels")):
     """The permutation of objects induced by zeta -> zeta^k."""
 
-    k: int
-    mapping: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
     def index(self, i: int) -> int:
         return self.mapping[i]
@@ -69,8 +65,7 @@ def working_conductor(md: ModularDatum) -> int:
     return math.lcm(12 * fs_exponent(md), _s_conductor(md))
 
 
-@dataclass(frozen=True)
-class _RatioColumns:
+class _RatioColumns(namedtuple("_RatioColumns", "conductor values ids columns carriers")):
     """The ratio columns S[x][y] / S[0][y] over a table of their distinct
     values.  Every value is lifted once to `conductor`, the lcm of the S
     entry conductors, so equal values have equal (den, num); `ids` maps that
@@ -78,11 +73,7 @@ class _RatioColumns:
     column y, and `carriers` maps an id tuple to the columns carrying it, in
     increasing order."""
 
-    conductor: int
-    values: tuple[Cyc, ...]
-    ids: dict
-    columns: tuple[tuple[int, ...], ...]
-    carriers: dict
+    __slots__ = ()
 
 
 @_kept_on_datum
@@ -263,6 +254,8 @@ def bar_category(md: ModularDatum) -> ModularDatum:
         if not any(v == w for w in seen):
             seen.append(v)
             reps.append(k)
+    from .construct import deligne_product
+
     out = None
     for k in reps:
         c = conjugate_category(md, k)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import accumulate, repeat
 
 from .cyclo import Cyc, ResidueMap, RootOfUnity, _as_root_of_unity, _factorize, _is_prime, rational
@@ -136,11 +136,8 @@ def _as_rou(t) -> RootOfUnity:
     raise DataFormatError(f"T entries must be roots of unity, got {type(t).__name__}")
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    witness: str = ""
+class Check(namedtuple("Check", "name passed witness", defaults=("",))):
+    __slots__ = ()
 
     def __str__(self):
         mark = "ok" if self.passed else "FAIL"
@@ -148,9 +145,31 @@ class Check:
         return f"[{mark:4}] {self.name}{tail}"
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    checks: tuple[Check, ...]
+    """The checks of one run of `verify` or `verify_galois_identities`, in
+    order; immutable, and not a tuple, so callers can tell it from one."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...]):
+        object.__setattr__(self, "checks", checks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return VerificationReport, (self.checks,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __hash__(self):
+        return hash(self.checks)
+
+    def __repr__(self):
+        return f"VerificationReport(checks={self.checks!r})"
 
     @property
     def ok(self) -> bool:
@@ -262,19 +281,17 @@ def anomaly(md: ModularDatum) -> RootOfUnity:
 # fusion rules
 
 
-@dataclass(frozen=True)
-class FusionTensor:
+class FusionTensor(namedtuple("FusionTensor", "labels N duals")):
     """Nonnegative integer fusion multiplicities N[x][y][z] with unit object
     at index 0.  Validated for unit behaviour, commutativity and rigidity
-    (every object has exactly one dual, and duality is an involution)."""
+    (every object has exactly one dual, and duality is an involution).
+    Built from labels and N; duals[x] is computed, the index of the dual
+    of x."""
 
-    labels: tuple[str, ...]
-    N: tuple[tuple[tuple[int, ...], ...], ...]
-    duals: tuple[int, ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = len(self.labels)
-        N = self.N
+    def __new__(cls, labels: tuple[str, ...], N: tuple[tuple[tuple[int, ...], ...], ...]):
+        r = len(labels)
         for x in range(r):
             for z in range(r):
                 if N[0][x][z] != (1 if x == z else 0):
@@ -283,17 +300,20 @@ class FusionTensor:
             for y in range(x + 1, r):
                 if N[x][y] != N[y][x]:
                     raise DataFormatError(
-                        f"fusion is not commutative at ({self.labels[x]}, {self.labels[y]})"
+                        f"fusion is not commutative at ({labels[x]}, {labels[y]})"
                     )
         duals = []
         for x in range(r):
             ds = [y for y in range(r) if N[x][y][0] != 0]
             if len(ds) != 1 or N[x][ds[0]][0] != 1:
-                raise DataFormatError(f"object {self.labels[x]} has no unique dual")
+                raise DataFormatError(f"object {labels[x]} has no unique dual")
             duals.append(ds[0])
         if any(duals[duals[x]] != x for x in range(r)):
             raise DataFormatError("duality is not an involution")
-        object.__setattr__(self, "duals", tuple(duals))
+        return tuple.__new__(cls, (labels, N, tuple(duals)))
+
+    def __getnewargs__(self):
+        return self.labels, self.N
 
     @property
     def rank(self) -> int:
@@ -489,9 +509,11 @@ def _simple_products(md: ModularDatum):
     return planes
 
 
+@lru_cache(maxsize=None)
 def _candidate_prime(N: int) -> tuple[int, int]:
     """The largest prime p < 2^30 with p = 1 mod N, and z = h^((p - 1) / N)
-    of order exactly N for the least h >= 2; a generator h of F_p* passes."""
+    of order exactly N for the least h >= 2; a generator h of F_p* passes.
+    Kept per conductor, since data with one S conductor share it."""
     for p in range((2**30 - 2) // N * N + 1, N, -N):
         if _is_prime(p):
             for h in range(2, p):

@@ -879,6 +879,21 @@ def test_candidate_prime_gives_a_root_of_phi_n():
         assert sum(c * pow(z, i, p) for i, c in enumerate(phi)) % p == 0, N
 
 
+def test_candidate_prime_is_searched_once_per_s_conductor(monkeypatch):
+    # ising-1-p and ising-3-p differ in T and share the S conductor 8; both
+    # leave sigma x sigma = 1 + psi to the candidates
+    a, b = ising(1, 1), ising(3, 1)
+    assert modular._s_conductor(a) == modular._s_conductor(b) == 8
+    modular._candidate_prime.cache_clear()
+    warm = [candidate_rows(a), candidate_rows(b)]
+    assert verify(ising(1, 1)).ok and verify(ising(3, 1)).ok
+    info = modular._candidate_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 3), info
+    # the rows are those of a search run afresh for each datum
+    monkeypatch.setattr(modular, "_candidate_prime", modular._candidate_prime.__wrapped__)
+    assert [candidate_rows(a), candidate_rows(b)] == warm
+
+
 def test_candidate_rows_equal_the_exact_formula():
     data = candidate_data()
     assert len(data) >= 100, len(data)
