@@ -271,8 +271,6 @@ def _fusion_isomorphic(a: FusionTensor, b: FusionTensor) -> bool:
                     continue
                 if a.N[x][y][z] != b.N[assign[x]][assign[y]][assign[z]]:
                     return False
-                if a.N[y][x][z] != b.N[assign[y]][assign[x]][assign[z]]:
-                    return False
                 if a.N[y][z][x] != b.N[assign[y]][assign[z]][assign[x]]:
                     return False
         return True

@@ -79,51 +79,61 @@ class MetricGroup(namedtuple("MetricGroup", "orders q")):
         if len(exps) != len(orders):
             raise DataFormatError("one exponent per cyclic factor is required")
         moduli = tuple(n if n % 2 else 2 * n for n in orders)
-        vals = []
-        for g in itertools.product(*(range(n) for n in orders)):
-            acc = RootOfUnity.one()
-            for gi, a, m in zip(g, exps, moduli):
-                acc = acc * RootOfUnity.make(m, a * gi * gi)
-            vals.append(acc)
-        return MetricGroup(orders, tuple(vals))
+        M = math.lcm(*moduli)
+        return _tabulated(
+            orders, M, lambda g: sum(a * x * x * M // m for x, a, m in zip(g, exps, moduli))
+        )
 
 
-def _bilinear_table(mg: MetricGroup) -> list[list[RootOfUnity]]:
-    """b(g, h) = q(g + h) / (q(g) q(h)); also validates that q is quadratic
-    and that b is bimultiplicative and nondegenerate."""
+def _tabulated(orders: tuple[int, ...], M: int, exponent) -> MetricGroup:
+    """The MetricGroup on prod_i Z/orders[i] with q(g) = zeta_M^exponent(g)."""
+    elems = itertools.product(*(range(n) for n in orders))
+    return MetricGroup(orders, tuple(RootOfUnity.make(M, exponent(g)) for g in elems))
+
+
+def _pairing(mg: MetricGroup) -> tuple[int, list[list[int]]]:
+    """The pairing b(g, h) = q(g + h) / (q(g) q(h)) of mg on the generators,
+    as integers: M, the lcm of the orders of the q values, and chi with
+    b(g, e_i) = zeta_M^chi[i][g] for the k generators e_i.  Raises
+    DataFormatError unless q(-g) = q(g) for every g, b is bimultiplicative
+    and b is nondegenerate, checked in that order.
+
+    With Q[g] the exponent of q(g) in zeta_M, chi[i][g] = Q[g + e_i] - Q[g]
+    - Q[e_i] mod M.  b is bimultiplicative exactly when every chi[i] is
+    additive on generator steps, chi[i][g + e_j] = chi[i][g] + chi[i][e_j]:
+    restricting b(g + e_j, h) = b(g, h) b(e_j, h) to h = e_i gives it.
+    Conversely, additivity makes each b(., e_i) a character, and g = 0
+    gives chi[i][0] = 0, so Q[0] = 0 and b(g, 0) = 1.  By the definition of
+    b, q(y + e_i) = q(y) q(e_i) b(y, e_i) for every y; with y = g + h and
+    y = h this gives b(g, h + e_i) = b(g, h) b(g + h, e_i) / b(h, e_i) =
+    b(g, h) b(g, e_i).  Hence b(g, h) = prod_i b(g, e_i)^(h_i), a character
+    in h, and b is symmetric, so b is bimultiplicative.  For the same
+    reason b(g, .) is trivial exactly when every b(g, e_i) is, so the
+    first g != 0 with every chi[i][g] = 0 is the first degenerate element.
+    The checks take O(|A| k^2) integer operations for |A| = mg.size.
+    """
     elems = mg.elements()
-    size = mg.size
     for g in elems:
         if mg.q_at(mg.neg(g)) != mg.q_at(g):
             raise DataFormatError(f"q({g}) differs from q(-{g}); not a quadratic form")
-    b = [[None] * size for _ in range(size)]
-    for i, g in enumerate(elems):
-        qi_inv = mg.q_at(g).inverse()
-        for j in range(i, size):
-            h = elems[j]
-            v = mg.q_at(mg.add(g, h)) * qi_inv * mg.q_at(h).inverse()
-            b[i][j] = v
-            b[j][i] = v
-    gens = []
+    M = math.lcm(*(r.order for r in mg.q))
+    Q = [r.exponent * (M // r.order) for r in mg.q]
     k = len(mg.orders)
-    for axis in range(k):
-        e = tuple(1 if t == axis else 0 for t in range(k))
-        gens.append(mg.index(e))
-    for ge in gens:
-        grow = b[ge]
-        for i, g in enumerate(elems):
-            shifted = mg.index(mg.add(g, elems[ge]))
-            for j in range(size):
-                if b[shifted][j] != b[i][j] * grow[j]:
-                    raise DataFormatError(
-                        "q is not a quadratic form: the associated b is not bimultiplicative"
-                    )
-    for i in range(size):
-        if i != 0 and all(b[i][j].order == 1 for j in range(size)):
+    # steps[i][g] is the index of g + e_i, so steps[i][0] is that of e_i
+    steps = [[mg.index(g[:i] + (g[i] + 1,) + g[i + 1 :]) for g in elems] for i in range(k)]
+    chi = [[(Q[s] - Q[g] - Q[st[0]]) % M for g, s in enumerate(st)] for st in steps]
+    for c in chi:
+        for st in steps:
+            if any(c[s] != (c[g] + c[st[0]]) % M for g, s in enumerate(st)):
+                raise DataFormatError(
+                    "q is not a quadratic form: the associated b is not bimultiplicative"
+                )
+    for g in range(1, mg.size):
+        if not any(c[g] for c in chi):
             raise DataFormatError(
-                f"the form is degenerate: {elems[i]} pairs trivially with everything"
+                f"the form is degenerate: {elems[g]} pairs trivially with everything"
             )
-    return b
+    return M, chi
 
 
 def _element_label(g: tuple[int, ...], single: bool) -> str:
@@ -137,21 +147,18 @@ def _element_label(g: tuple[int, ...], single: bool) -> str:
 def pointed(mg: MetricGroup, name: str | None = None) -> ModularDatum:
     """Modular data of a pointed fusion ring: S[g][h] = b(g, h) and
     T[g] = q(g)^(-1), for a nondegenerate quadratic form q."""
-    elems = mg.elements()
-    b = _bilinear_table(mg)
-    cache: dict[tuple[int, int], Cyc] = {}
-
-    def as_cyc(r: RootOfUnity) -> Cyc:
-        key = (r.order, r.exponent)
-        if key not in cache:
-            cache[key] = r.to_cyc()
-        return cache[key]
-
-    size = mg.size
-    S = [[as_cyc(b[i][j]) for j in range(size)] for i in range(size)]
-    T = [mg.q_at(g).inverse() for g in elems]
+    M, chi = _pairing(mg)
+    zeta = [root_of_unity(M, e) for e in range(M)]
+    S = []
+    for g in range(mg.size):
+        # the exponents sum_i h_i chi[i][g] for h in row major order
+        row = [0]
+        for n, c in zip(mg.orders, chi):
+            row = [v + t * c[g] for v in row for t in range(n)]
+        S.append([zeta[v % M] for v in row])
+    T = [r.inverse() for r in mg.q]
     single = len(mg.orders) == 1
-    labels = [_element_label(g, single) for g in elems]
+    labels = [_element_label(g, single) for g in mg.elements()]
     if name is None:
         name = "pointed-" + "x".join(f"c{n}" for n in mg.orders)
     return ModularDatum(labels, S, T, name=name)
@@ -164,15 +171,11 @@ def double_abelian(orders, name: str | None = None) -> ModularDatum:
     orders = tuple(int(n) for n in orders)
     if not orders or any(n < 1 for n in orders):
         raise DataFormatError(f"bad group orders {orders}")
-    dbl = orders + orders
     k = len(orders)
-    vals = []
-    for gh in itertools.product(*(range(n) for n in dbl)):
-        acc = RootOfUnity.one()
-        for i in range(k):
-            acc = acc * RootOfUnity.make(orders[i], gh[i] * gh[k + i])
-        vals.append(acc)
-    mg = MetricGroup(dbl, tuple(vals))
+    M = math.lcm(*orders)
+    mg = _tabulated(
+        orders + orders, M, lambda gh: sum(g * h * M // n for g, h, n in zip(gh, gh[k:], orders))
+    )
     if name is None:
         name = "double-" + "x".join(f"c{n}" for n in orders)
     return pointed(mg, name=name)

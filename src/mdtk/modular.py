@@ -308,8 +308,7 @@ class FusionTensor(namedtuple("FusionTensor", "labels N duals")):
             if len(ds) != 1 or N[x][ds[0]][0] != 1:
                 raise DataFormatError(f"object {labels[x]} has no unique dual")
             duals.append(ds[0])
-        if any(duals[duals[x]] != x for x in range(r)):
-            raise DataFormatError("duality is not an involution")
+        # involutive: for y the dual of x, N[y][x][0] = N[x][y][0] = 1 by commutativity
         return tuple.__new__(cls, (labels, N, tuple(duals)))
 
     def __getnewargs__(self):

@@ -3,12 +3,15 @@ abelian doubles, Deligne products, and the graded vector space exponent."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from mdtk.catalog_cli import to_dict
 from mdtk.cyclo import RootOfUnity, rational, root_of_unity
 from mdtk.construct import (
+    _element_label,
     CocycleSpec,
     DataFormatError,
     MetricGroup,
@@ -20,7 +23,7 @@ from mdtk.construct import (
     pointed,
     so5_level9,
 )
-from mdtk.modular import data_equal, dims, fs_exponent, ndim, verify
+from mdtk.modular import ModularDatum, data_equal, dims, fs_exponent, ndim, verify
 
 
 def quad_metric(orders, mod, f):
@@ -106,6 +109,124 @@ def test_pointed_product_group():
     md = pointed(quad_metric((2, 2), 2, lambda g: g[0] * g[1]))
     assert md.rank == 4
     assert verify(md).ok
+
+
+# ------------------------------------- pointed against the table check
+
+
+def _table_pointed(mg, name=None):
+    """pointed through the full table b(g, h) = q(g + h) / (q(g) q(h)),
+    checked for bimultiplicativity on every pair: the reference for the
+    check on the generators."""
+    elems = mg.elements()
+    size = mg.size
+    for g in elems:
+        if mg.q_at(mg.neg(g)) != mg.q_at(g):
+            raise DataFormatError(f"q({g}) differs from q(-{g}); not a quadratic form")
+    b = [[mg.q_at(mg.add(g, h)) * mg.q_at(g).inverse() * mg.q_at(h).inverse()
+          for h in elems] for g in elems]
+    k = len(mg.orders)
+    for axis in range(k):
+        e = mg.index(tuple(1 if t == axis else 0 for t in range(k)))
+        for i, g in enumerate(elems):
+            shifted = mg.index(mg.add(g, elems[e]))
+            if any(b[shifted][j] != b[i][j] * b[e][j] for j in range(size)):
+                raise DataFormatError(
+                    "q is not a quadratic form: the associated b is not bimultiplicative"
+                )
+    for i in range(1, size):
+        if all(b[i][j].order == 1 for j in range(size)):
+            raise DataFormatError(
+                f"the form is degenerate: {elems[i]} pairs trivially with everything"
+            )
+    S = [[r.to_cyc() for r in row] for row in b]
+    T = [mg.q_at(g).inverse() for g in elems]
+    labels = [_element_label(g, len(mg.orders) == 1) for g in elems]
+    if name is None:
+        name = "pointed-" + "x".join(f"c{n}" for n in mg.orders)
+    return ModularDatum(labels, S, T, name=name)
+
+
+def _outcome(build):
+    try:
+        return to_dict(build())
+    except DataFormatError as e:
+        return str(e)
+
+
+def _group_orders(limit):
+    """Every tuple of cyclic orders n_1 <= n_2 <= ..., each at least 2, with
+    product at most limit."""
+    out = []
+
+    def extend(prefix, low, size):
+        for n in range(low, limit // size + 1):
+            out.append(prefix + (n,))
+            extend(prefix + (n,), n, size * n)
+
+    extend((), 2, 1)
+    return out
+
+
+def test_pointed_matches_the_table_check():
+    forms = []
+    for orders in _group_orders(16):
+        moduli = [n if n % 2 else 2 * n for n in orders]
+        for exps in itertools.product(*(range(m) for m in moduli)):
+            mg = MetricGroup.generator_form(orders, exps)
+            for g in mg.elements():
+                want = RootOfUnity.one()
+                for gi, a, m in zip(g, exps, moduli):
+                    want = want * RootOfUnity.make(m, a * gi * gi)
+                assert mg.q_at(g) == want, (orders, exps, g)
+            forms.append(mg)
+    rng = random.Random(20261019)
+    for orders in _group_orders(16):
+        for _ in range(6):
+            M = rng.choice([2, 3, 4, 6, 8, 12, 16])
+            raw = MetricGroup(orders, tuple(RootOfUnity.make(M, rng.randrange(M))
+                                            for _ in range(math.prod(orders))))
+            even = MetricGroup(orders, tuple(RootOfUnity.one() if not any(g) else
+                                             raw.q_at(max(g, raw.neg(g)))
+                                             for g in raw.elements()))
+            forms += [raw, even]
+    # every table on Z/2 and Z/3, q(0) != 1 included
+    for n, M in ((2, 12), (3, 6)):
+        for vals in itertools.product(range(M), repeat=n):
+            forms.append(MetricGroup((n,), tuple(RootOfUnity.make(M, v) for v in vals)))
+    seen = []
+    for mg in forms:
+        seen.append(_outcome(lambda: pointed(mg)))
+        assert seen[-1] == _outcome(lambda: _table_pointed(mg)), mg
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        k = len(orders)
+        q = []
+        for gh in itertools.product(*(range(n) for n in orders + orders)):
+            acc = RootOfUnity.one()
+            for i in range(k):
+                acc = acc * RootOfUnity.make(orders[i], gh[i] * gh[k + i])
+            q.append(acc)
+        name = "double-" + "x".join(f"c{n}" for n in orders)
+        want = _table_pointed(MetricGroup(orders + orders, tuple(q)), name=name)
+        assert to_dict(double_abelian(orders)) == to_dict(want)
+    messages = [m for m in seen if isinstance(m, str)]
+    for pattern in ("differs from q(-", "is not bimultiplicative", "the form is degenerate"):
+        assert any(pattern in m for m in messages), pattern
+    assert len(messages) < len(seen)
+
+
+def test_construct_forms_no_root_of_unity_product(monkeypatch):
+    calls = []
+    product = RootOfUnity.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(RootOfUnity, "__mul__", counted)
+    assert pointed(MetricGroup.generator_form((3,) * 5, (1,) * 5)).rank == 243
+    assert double_abelian((4, 2)).rank == 64
+    assert not calls
 
 
 # ------------------------------------------------------- named families
