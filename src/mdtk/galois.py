@@ -7,6 +7,12 @@ S[x][y] / S[0][y] against the original ones; the working conductor is the
 lcm of 12 times the T order with the conductors of the stored S entries,
 which contains every value the identities mention.
 
+No field division is formed.  The distinct ratio values are keyed in F_p
+and told apart by cross-multiplying in Z/m (see `_ratio_classes`); a
+conjugated value is looked up by its key and accepted on the same exact
+certificate (see `_matching_at`).  The dimension identity is decided in
+Z/m too.
+
 Every identity and every orbit is decided on the generators of (Z/N)*, N
 the working conductor; the other units are swept only to locate the first
 failure (see `_first_failure`).
@@ -17,14 +23,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .cyclo import Cyc, rational, unit_group_generators, units_mod
+from .cyclo import Cyc, ResidueMap, rational, unit_group_generators, units_mod
 from .modular import (
     Check,
     DegenerateDataError,
     ModularDatum,
     NotModularError,
     VerificationReport,
+    _fp_image,
+    _integral_s,
     _kept_on_datum,
+    _norm1,
+    _prime_powers,
     _s_conductor,
     dims,
     fs_exponent,
@@ -65,57 +75,142 @@ def working_conductor(md: ModularDatum) -> int:
     return math.lcm(12 * fs_exponent(md), _s_conductor(md))
 
 
-class _RatioColumns(namedtuple("_RatioColumns", "conductor values ids columns carriers")):
-    """The ratio columns S[x][y] / S[0][y] over a table of their distinct
-    values.  Every value is lifted once to `conductor`, the lcm of the S
-    entry conductors, so equal values have equal (den, num); `ids` maps that
-    key to the value's position in `values`, `columns[y]` holds the ids of
-    column y, and `carriers` maps an id tuple to the columns carrying it, in
+class _RatioClasses(namedtuple("_RatioClasses", "conductor scale bound entries residues reps buckets columns carriers")):
+    """The distinct values of the ratio columns S[x][y] / S[0][y], built by
+    `_ratio_classes`.  `entries` are the distinct S entries, `residues` the
+    images of A = L S in the ring ResidueMap(conductor, bound), L = `scale`;
+    class c is the value A[e] / A[n] of the pair reps[c] of entry numbers;
+    `buckets` maps an F_p key to the classes that have it, or is None when
+    the classes are not keyed; `columns[y]` holds the classes of column y,
+    and `carriers` maps a class tuple to the columns carrying it, in
     increasing order."""
 
     __slots__ = ()
 
 
 @_kept_on_datum
-def _ratio_columns(md: ModularDatum) -> _RatioColumns:
+def _ratio_classes(md: ModularDatum) -> _RatioClasses:
+    """The ratio values of md as exact classes, keyed in F_p.
+
+    With A = L S integral, m the lcm of the S conductors and (p, z) from
+    `_candidate_prime(m)`, phi: zeta_m -> z is a ring map Z[zeta_m] -> F_p
+    (see `_verlinde_candidates`).  The ratio A[x][y] / A[0][y] is the pair
+    (A[x][y], A[0][y]) of distinct entries, and when phi(A[0][y]) != 0 its
+    key is phi(A[x][y]) / phi(A[0][y]) in F_p.  Equal ratios have equal
+    keys, since a/b = a'/b' gives a b' = a' b and phi is a ring map.  So
+    each pair is compared only with the classes of its key, by
+    cross-multiplying: a b' - a' b has every |sigma| at most 2 top^2, with
+    top the largest ||A[x][y]||_1, and the ring decides it exactly (see
+    `ResidueMap`).  The classes are the distinct ratio values.  When some
+    normalizer maps to 0, no pair is keyed and each is compared with every
+    class, which is exact too.
+    """
     r = md.rank
     S = md.S
-    m = _s_conductor(md)
-    values: list[Cyc] = []
-    ids: dict = {}
-    columns = []
     for y in range(r):
         if S[0][y].is_zero():
             raise NotModularError(
                 f"S[0][{md.labels[y]}] is zero; ratio columns undefined"
             )
-        inv = S[0][y].inverse()
+    L, m, norms = _integral_s(md)
+    top = max(map(max, norms))
+    ring = ResidueMap(m, 2 * top * top)
+    M = ring.modulus
+    p, powers = _prime_powers(m)
+    entries: list[Cyc] = []
+    index: dict = {}
+    cells = []
+    for row in S:
+        cell = []
+        for e in row:
+            key = (e.n, e.den, e.num)
+            if key not in index:
+                index[key] = len(entries)
+                entries.append(e)
+            cell.append(index[key])
+        cells.append(cell)
+    residues = tuple(ring(e, L) for e in entries)
+    images = [_fp_image(e, L, p, powers) for e in entries]
+    keyed = all(images[n] for n in cells[0])
+    inverses = {n: pow(images[n], -1, p) for n in cells[0]} if keyed else {}
+    reps: list[tuple[int, int]] = []
+    buckets: dict = {}
+    pairs: dict = {}
+    columns = []
+    for y in range(r):
+        n = cells[0][y]
         col = []
         for x in range(r):
-            v = (S[x][y] * inv).lift(m)
-            key = (v.den, v.num)
-            if key not in ids:
-                ids[key] = len(values)
-                values.append(v)
-            col.append(ids[key])
+            pair = (cells[x][y], n)
+            c = pairs.get(pair)
+            if c is None:
+                e = pair[0]
+                key = images[e] * inverses[n] % p if keyed else 0
+                bucket = buckets.setdefault(key, [])
+                c = _equal_class(bucket, reps, residues, residues[e], residues[n], M)
+                if c is None:
+                    c = len(reps)
+                    reps.append(pair)
+                    bucket.append(c)
+                pairs[pair] = c
+            col.append(c)
         columns.append(tuple(col))
     carriers: dict = {}
     for y, col in enumerate(columns):
         carriers[col] = carriers.get(col, ()) + (y,)
-    return _RatioColumns(m, tuple(values), ids, tuple(columns), carriers)
+    return _RatioClasses(
+        m, L, 2 * top * top, tuple(entries), residues, tuple(reps),
+        buckets if keyed else None, tuple(columns), carriers,
+    )
+
+
+def _equal_class(candidates, reps, residues, a, b, M):
+    """The first class c among the candidates whose ratio equals a / b, or
+    None: with reps[c] = (e, n), a residues[n] - residues[e] b = 0 mod M."""
+    for c in candidates:
+        e, n = reps[c]
+        if not (a * residues[n] - residues[e] * b) % M:
+            return c
+    return None
 
 
 @_kept_on_datum
 def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
     """For each column y, the columns whose ratio column is the image of
-    column y under zeta_m -> zeta_m^j, with m the ratio conductor.  The
-    automorphism is applied once per distinct value, and each image column
-    is looked up by its ids; an image outside the table has no id and so
-    matches no column."""
-    table = _ratio_columns(md)
-    image = [table.ids.get((w.den, w.num)) for w in (v.galois(j) for v in table.values)]
+    column y under sigma_j: zeta_m -> zeta_m^j, with m the ratio conductor.
+
+    Each class a / b is mapped once.  phi o sigma_j sends zeta_m to z^j, so
+    when phi(sigma_j(b)) != 0 the image has the F_p key
+    phi(sigma_j(a)) / phi(sigma_j(b)), and a class a' / b' equal to it has
+    that key too (see `_ratio_classes`): only the classes of that key are
+    candidates.  Otherwise, or when the classes are not keyed, every class
+    is.  A candidate is accepted only when sigma_j(a) b' - a' sigma_j(b) is
+    0 in the ring, which is exact: sigma_j permutes the powers of zeta_m,
+    so it keeps every 1-norm and the bound 2 top^2 holds.  The classes are
+    distinct values, so at most one candidate passes.  An image that is no
+    class matches no column.
+    """
+    t = _ratio_classes(md)
+    ring = ResidueMap(t.conductor, t.bound)
+    M = ring.modulus
+    p, powers = _prime_powers(t.conductor)
+    L = t.scale
+    every = range(len(t.reps))
+    fp: dict = {}
+    res: dict = {}
+    image = []
+    for e, n in t.reps:
+        for i in (e, n):
+            if i not in fp:
+                fp[i] = _fp_image(t.entries[i], L, p, powers, j)
+                res[i] = ring(t.entries[i], L, j)
+        if t.buckets is None or not fp[n]:
+            candidates = every
+        else:
+            candidates = t.buckets.get(fp[e] * pow(fp[n], -1, p) % p, ())
+        image.append(_equal_class(candidates, t.reps, t.residues, res[e], res[n], M))
     return tuple(
-        table.carriers.get(tuple(image[i] for i in col), ()) for col in table.columns
+        t.carriers.get(tuple(image[c] for c in col), ()) for col in t.columns
     )
 
 
@@ -136,7 +231,7 @@ def galois_permutation(md: ModularDatum, k: int) -> GaloisPermutation:
     k %= N
     if math.gcd(k, N) != 1:
         raise ValueError(f"{k} is not a unit mod {N}")
-    hits = _matching_at(md, k % _ratio_columns(md).conductor)
+    hits = _matching_at(md, k % _s_conductor(md))
     for y, h in enumerate(hits):
         if not h:
             raise NotModularError(
@@ -304,26 +399,40 @@ def verify_galois_identities(
         return VerificationReport(tuple(checks))
     checks.append(Check("homomorphism", True))
 
-    def identity(name, holds):
-        """The first failure of holds(k, x, sigma-hat_k x), as a witness."""
+    def identity(name, holds_at):
+        """The first failure of holds_at(k)(x, sigma-hat_k x), as a witness."""
         def fails(k):
             perm = galois_permutation(md, k)
+            holds = holds_at(k)
             for x in range(r):
-                if not holds(k, x, perm.index(x)):
+                if not holds(x, perm.index(x)):
                     return f"{name} identity fails at k = {k}, X = {md.labels[x]}"
         return _first_failure(md, fails)
 
+    # D != 0, so the dimension identity is d[sigma-hat X]^2 sigma(D) =
+    # D sigma(d_X^2); with A = L S integral it is decided in Z/m as
+    # A[0][y]^2 sigma(L^2 D) - L^2 D sigma(A[0][x])^2 = 0, bounded by
+    # 2 max ||A[0][x]||_1^2 ||L^2 D||_1 (see `ResidueMap`)
     D = global_dim(md)
-    d2 = [dx * dx for dx in dims(md)]
-    # D != 0, so this is d[sigma-hat X]^2 = (D / sigma(D)) sigma(d_X^2)
-    dim_bad = identity("dimension", lambda k, x, y: d2[y] * D.galois(k) == D * d2[x].galois(k))
+    L, m, norms = _integral_s(md)
+    ring = ResidueMap(m, 2 * max(norms[0]) ** 2 * _norm1(D, L * L))
+    M = ring.modulus
+    d2 = [ring(e, L) ** 2 % M for e in md.S[0]]
+    dim = ring(D, L * L)
+
+    def dims_at(k):
+        dim_k = ring(D, L * L, k)
+        d2_k = [ring(e, L, k) ** 2 for e in md.S[0]]
+        return lambda x, y: not (d2[y] * dim_k - dim * d2_k[x]) % M
+
+    dim_bad = identity("dimension", dims_at)
     checks.append(Check("dim-identity", dim_bad is None, dim_bad or ""))
 
     try:
         # ord(t[X]) divides 12 FSexp, which divides N, so sigma_(k^2) acts on
         # t[X] as the power k^2
         t = normalized_t(md)[1]
-        t_bad = identity("t", lambda k, x, y: t[x] ** (k * k % N) == t[y])
+        t_bad = identity("t", lambda k: lambda x, y: t[x] ** (k * k % N) == t[y])
         checks.append(Check("t-squared-identity", t_bad is None, t_bad or ""))
     except NotModularError as e:
         checks.append(Check("t-squared-identity", False, str(e)))

@@ -93,9 +93,11 @@ class ModularDatum:
             raise DataFormatError("unit normalization violated: S[0][0] must be 1")
         if T[0].order != 1:
             raise DataFormatError("unit normalization violated: T[0] must be 1")
+        # constructions pass equal mirrors as one object, which is cheaper
+        # to recognize than to compare
         for i in range(r):
             for j in range(i + 1, r):
-                if S[i][j] != S[j][i]:
+                if S[i][j] is not S[j][i] and S[i][j] != S[j][i]:
                     raise DataFormatError(
                         f"S is not symmetric at ({labels[i]}, {labels[j]})"
                     )
@@ -522,6 +524,23 @@ def _candidate_prime(N: int) -> tuple[int, int]:
     raise ValueError(f"no prime below 2^30 is 1 mod {N}")
 
 
+def _prime_powers(N: int) -> tuple[int, list[int]]:
+    """p and the powers z^i mod p for 0 <= i < N, with (p, z) from
+    `_candidate_prime`."""
+    p, z = _candidate_prime(N)
+    return p, list(accumulate(repeat(z, N - 1), lambda u, v: u * v % p, initial=1))
+
+
+def _fp_image(e: Cyc, scale: int, p: int, powers: list[int], k: int = 1) -> int:
+    """The image of scale * sigma_k(e) under the ring map zeta_N -> z into
+    F_p, with (p, powers) from `_prime_powers(N)`, for e in Q(zeta_n), n
+    dividing N, and scale * e integral: zeta_n^i is zeta_N^(iN/n)."""
+    N = len(powers)
+    step = N // e.n
+    acc = sum(v * powers[k * i * step % N] for i, v in enumerate(e.num) if v)
+    return scale // e.den * acc % p
+
+
 def _verlinde_candidates(md: ModularDatum, planes, duals):
     """{(x, y): N[x][y]} for the pairs y <= x with planes[x][y] None, from
     the Verlinde formula in F_p, each value its least nonnegative residue;
@@ -561,16 +580,9 @@ def _verlinde_candidates(md: ModularDatum, planes, duals):
     L, N, _ = _integral_s(md)
     if L != 1:
         return None
-    p, z = _candidate_prime(N)
-    powers = list(accumulate(repeat(z, N - 1), lambda u, v: u * v % p, initial=1))
-
-    def image(e: Cyc) -> int:
-        # e in Z[zeta_n]: zeta_n^i is zeta_N^(iN/n)
-        step = N // e.n
-        return sum(v * powers[i * step] for i, v in enumerate(e.num) if v) % p
-
-    A = [[image(e) for e in row] for row in md.S]
-    d = image(global_dim(md))
+    p, powers = _prime_powers(N)
+    A = [[_fp_image(e, 1, p, powers) for e in row] for row in md.S]
+    d = _fp_image(global_dim(md), 1, p, powers)
     if d == 0 or 0 in A[0]:
         return None
     inverses = [pow(d * a, -1, p) for a in A[0]]

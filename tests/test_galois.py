@@ -10,7 +10,9 @@ from functools import partial
 import pytest
 
 from mdtk.catalog_cli import builtin, builtin_names
+from mdtk import modular
 from mdtk.cyclo import (
+    Cyc,
     RootOfUnity,
     rational,
     root_of_unity,
@@ -27,6 +29,7 @@ from mdtk.construct import (
     so5_level9,
 )
 from mdtk.galois import (
+    _ratio_classes,
     bar_category,
     conjugate_category,
     galois_permutation,
@@ -38,6 +41,7 @@ from mdtk.galois import (
 import mdtk.galois
 from mdtk.modular import (
     DegenerateDataError,
+    _fp_image,
     ModularDatum,
     NotModularError,
     data_equal,
@@ -312,21 +316,121 @@ def _seeded_data(seed, count):
     return data
 
 
+def _compare_with_reference(md, ks):
+    """The error types galois_permutation raises at the ks, after asserting
+    that every outcome equals the reference matcher's."""
+    reference = _reference_matcher(md)
+    failures = set()
+    for k in ks:
+        got = _outcome(partial(galois_permutation, md), k)
+        want = _outcome(reference, k)
+        if isinstance(got, tuple) and isinstance(got[0], str):
+            failures.add(got[0])
+        else:
+            got = got.mapping
+        assert got == want, (md.name, k)
+    return failures
+
+
+def _every_k(md):
+    N = working_conductor(md)
+    return units_mod(N) + (0, N - 2, N + 1)
+
+
 def test_permutation_matches_reference_matcher():
     failures = set()
     for md in _seeded_data(20240601, 24):
-        N = working_conductor(md)
-        reference = _reference_matcher(md)
-        for k in units_mod(N) + (0, N - 2, N + 1):
-            got = _outcome(partial(galois_permutation, md), k)
-            want = _outcome(reference, k)
-            if isinstance(got, tuple) and isinstance(got[0], str):
-                failures.add(got[0])
-            else:
-                got = got.mapping
-            assert got == want, (md.name, k)
+        failures |= _compare_with_reference(md, _every_k(md))
     # the mutations reach the error paths, not only the mappings
     assert {"ValueError", "NotModularError"} <= failures
+    # the rank-36 product, at the generators and their squares
+    md = deligne_product(deligne_product(ising(1, 1), fibonacci(1)), so5_level9(1))
+    N = working_conductor(md)
+    gens = unit_group_generators(N)
+    assert not _compare_with_reference(md, gens + tuple(g * g % N for g in gens))
+
+
+def _fresh(md):
+    """md with nothing kept on it yet."""
+    return ModularDatum(md.labels, md.S, md.T, name=md.name)
+
+
+def _small_prime(m):
+    """The least prime p = 1 mod m, with the least z of order m mod p."""
+    p = m + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += m
+    z = next(
+        z for z in range(1, p)
+        if pow(z, m, p) == 1 and all(pow(z, e, p) != 1 for e in range(1, m))
+    )
+    return p, z
+
+
+def test_colliding_keys_are_separated_by_the_certificate(monkeypatch):
+    # with p the least prime = 1 mod m, distinct ratio values share F_p
+    # keys, and only the Z/m certificate tells them apart
+    monkeypatch.setattr(modular, "_candidate_prime", _small_prime)
+    shared = 0
+    for md in _seeded_data(20240601, 24):
+        md = _fresh(md)
+        _compare_with_reference(md, _every_k(md))
+        try:
+            buckets = _ratio_classes(md).buckets
+        except NotModularError:
+            continue
+        shared += sum(len(b) > 1 for b in (buckets or {}).values())
+    assert shared >= 10, shared
+
+
+def _norm_17_data():
+    """S = [[1, a], [a, N(a)]] for a = 5 + 2 sqrt 2 of norm 17, which is
+    Galois closed (see `_quadratic_data`), its product with Ising, and one
+    S whose second column is no conjugate of the first.  a and a sqrt 2
+    map to 0 mod 17 under zeta_8 -> 8 and under zeta_8 -> 2 sigma_3."""
+    r2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+    a = 5 + 2 * r2
+    one = [RootOfUnity.one()] * 2
+    good = ModularDatum(("1", "x"), [[1, a], [a, 17]], one, name="norm17")
+    bad = ModularDatum(("1", "x"), [[1, a], [a, 1]], one, name="norm17-bad")
+    return [good, bad, deligne_product(ising(1, 1), good)]
+
+
+@pytest.mark.parametrize("z", (8, 2))
+def test_a_normalizer_zero_mod_p_is_matched_exactly(monkeypatch, z):
+    # z = 8 sends a to 0, so no ratio is keyed; z = 2 keys every ratio, and
+    # sigma_3 and sigma_5 send a to 0 under it, so their images are compared
+    # with every class
+    monkeypatch.setattr(modular, "_candidate_prime", lambda m: (17, z))
+    data = _norm_17_data()
+    mapped = set()
+    for md in data:
+        failures = _compare_with_reference(md, _every_k(md))
+        table = _ratio_classes(md)
+        assert (table.buckets is None) == (z == 8), md.name
+        p, powers = modular._prime_powers(8)
+        assert _fp_image(md.S[0][1], 1, p, powers, 3 if z == 2 else 1) == 0
+        mapped.add(failures == {"ValueError"})
+    assert mapped == {True, False}
+    # the same outcomes as with the largest prime, where nothing maps to 0
+    monkeypatch.undo()
+    for md in _norm_17_data():
+        assert _ratio_classes(md).buckets is not None
+        _compare_with_reference(md, _every_k(md))
+
+
+def test_identities_form_few_field_products(monkeypatch):
+    md = deligne_product(deligne_product(ising(1, 1), fibonacci(1)), so5_level9(1))
+    calls = []
+    mul = Cyc.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    assert verify_galois_identities(md).ok
+    assert len(calls) <= 10 * md.rank, len(calls)
 
 
 def test_fusion_duals_are_the_charge_permutation():

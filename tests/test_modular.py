@@ -93,9 +93,22 @@ def test_datum_unit_normalization_message():
 
 def test_datum_requires_symmetric_s():
     one = rational(1)
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError) as err:
         ModularDatum(("1", "x"), ((one, one), (rational(2), one)),
                      (RootOfUnity.one(), RootOfUnity.one()))
+    assert str(err.value) == "S is not symmetric at (1, x)"
+    # mirrors that are equal values but distinct objects, one of them at a
+    # larger conductor, are compared by value
+    r2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+    twin = root_of_unity(8, 1) + root_of_unity(8, 7)
+    wide = twin.lift(24)
+    assert r2 is not twin and wide.n == 24
+    ones = (RootOfUnity.one(),) * 3
+    md = ModularDatum(("1", "x", "y"), ((one, r2, one), (twin, one, r2), (rational(1), wide, one)), ones)
+    assert md.S[1][0] is twin and md.S[2][1] is wide
+    with pytest.raises(DataFormatError) as err:
+        ModularDatum(("1", "x", "y"), ((one, r2, one), (twin, one, r2), (one, -wide, one)), ones)
+    assert str(err.value) == "S is not symmetric at (x, y)"
 
 
 def test_index_lookup():

@@ -11,7 +11,7 @@ from mdtk.bounds import BoundVerdict, LemmaVerdict, bound_check, lemma_orbit_bou
 from mdtk.catalog_cli import CatalogEntry, builtin, catalog_entries
 from mdtk.construct import CocycleSpec, MetricGroup, fibonacci, ising
 from mdtk.cyclo import ComplexInterval, RootOfUnity
-from mdtk.galois import GaloisPermutation, _ratio_columns, galois_permutation
+from mdtk.galois import GaloisPermutation, _ratio_classes, galois_permutation
 from mdtk.modular import (
     Check,
     DataFormatError,
@@ -109,7 +109,7 @@ def test_equal_values_compare_and_hash_equal():
     assert not isinstance(VerificationReport(()), tuple)
     # the ratio table holds dicts, so it compares but does not hash
     md = fibonacci(1)
-    assert _ratio_columns(md) == _ratio_columns(fibonacci(1))
+    assert _ratio_classes(md) == _ratio_classes(fibonacci(1))
 
 
 def test_copy_and_pickle_round_trips():
