@@ -29,6 +29,7 @@ from .modular import (
     MdtkError,
     ModularDatum,
     _integer_norm,
+    _per_entry,
     anomaly,
     dims,
     fpdim_pseudounitary,
@@ -63,17 +64,10 @@ MAX_CONDUCTOR = 10_000
 
 
 def to_dict(md: ModularDatum) -> dict:
-    # pointed data repeat few entry objects (pointed-c81: 81 for 6,561
-    # entries), so each object is encoded once and its dict shared
-    encoded: dict[int, dict] = {}
-    for row in md.S:
-        for e in row:
-            if id(e) not in encoded:
-                encoded[id(e)] = e.to_json()
     return {
         "name": md.name,
         "labels": list(md.labels),
-        "S": [[encoded[id(e)] for e in row] for row in md.S],
+        "S": [list(row) for row in _per_entry(md, Cyc.to_json)],
         "T": [t.to_json() for t in md.T],
     }
 

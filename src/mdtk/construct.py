@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .cyclo import Cyc, RootOfUnity, rational, root_of_unity
-from .modular import DataFormatError, ModularDatum
+from .modular import DataFormatError, ModularDatum, _entries
 
 __all__ = [
     "MetricGroup",
@@ -268,17 +268,14 @@ def so5_level9(j: int = 1) -> ModularDatum:
 
 def deligne_product(a: ModularDatum, b: ModularDatum) -> ModularDatum:
     """Tensor (Kronecker) product of two modular data.  S is the Kronecker
-    product of the S matrices, T multiplies entrywise, and labels pair up."""
+    product of the S matrices, T multiplies entrywise, and labels pair up.
+    Each pair of distinct factor values is multiplied once (see
+    `_entries`), so mirror entries of the product are one object."""
     labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
-    S = []
-    for ia in range(a.rank):
-        for ib in range(b.rank):
-            row = []
-            for ja in range(a.rank):
-                va = a.S[ia][ja]
-                for jb in range(b.rank):
-                    row.append(va * b.S[ib][jb])
-            S.append(row)
+    va, ca = _entries(a)
+    vb, cb = _entries(b)
+    products = [[x * y for y in vb] for x in va]
+    S = [[row[j] for row in map(products.__getitem__, ra) for j in rb] for ra in ca for rb in cb]
     T = [ta * tb for ta in a.T for tb in b.T]
     na = a.name or "a"
     nb = b.name or "b"

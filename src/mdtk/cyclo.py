@@ -955,6 +955,9 @@ class ResidueMap:
         phi_n = cyclotomic_poly(conductor)
         self.modulus = abs(sum(c << (self.bits * i) for i, c in enumerate(phi_n)))
 
+    def __eq__(self, other):
+        return isinstance(other, ResidueMap) and (self.conductor, self.bits) == (other.conductor, other.bits)
+
     def __call__(self, x: Cyc, scale: int = 1, k: int = 1) -> int:
         """The image of scale * sigma_k(x), for x in Q(zeta_n) with n dividing
         the conductor N and scale * x integral.  zeta_n^i is zeta_N^(iN/n),

@@ -30,10 +30,12 @@ from .modular import (
     ModularDatum,
     NotModularError,
     VerificationReport,
+    _entries,
     _fp_image,
     _integral_s,
     _kept_on_datum,
     _norm1,
+    _per_entry,
     _prime_powers,
     _s_conductor,
     dims,
@@ -75,11 +77,12 @@ def working_conductor(md: ModularDatum) -> int:
     return math.lcm(12 * fs_exponent(md), _s_conductor(md))
 
 
-class _RatioClasses(namedtuple("_RatioClasses", "conductor scale bound entries residues reps buckets columns carriers")):
+class _RatioClasses(namedtuple("_RatioClasses", "ring prime powers scale residues reps buckets columns carriers")):
     """The distinct values of the ratio columns S[x][y] / S[0][y], built by
-    `_ratio_classes`.  `entries` are the distinct S entries, `residues` the
-    images of A = L S in the ring ResidueMap(conductor, bound), L = `scale`;
-    class c is the value A[e] / A[n] of the pair reps[c] of entry numbers;
+    `_ratio_classes`.  `residues` are the images in `ring` of A = L S at the
+    distinct S entries (see `_entries`), L = `scale`, and (prime, powers)
+    is `_prime_powers` at the ring's conductor; class c is the value
+    A[e] / A[n] of the pair reps[c] of entry numbers;
     `buckets` maps an F_p key to the classes that have it, or is None when
     the classes are not keyed; `columns[y]` holds the classes of column y,
     and `carriers` maps a class tuple to the columns carrying it, in
@@ -106,9 +109,8 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
     class, which is exact too.
     """
     r = md.rank
-    S = md.S
-    for y in range(r):
-        if S[0][y].is_zero():
+    for y, e in enumerate(md.S[0]):
+        if e.is_zero():
             raise NotModularError(
                 f"S[0][{md.labels[y]}] is zero; ratio columns undefined"
             )
@@ -117,20 +119,9 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
     ring = ResidueMap(m, 2 * top * top)
     M = ring.modulus
     p, powers = _prime_powers(m)
-    entries: list[Cyc] = []
-    index: dict = {}
-    cells = []
-    for row in S:
-        cell = []
-        for e in row:
-            key = (e.n, e.den, e.num)
-            if key not in index:
-                index[key] = len(entries)
-                entries.append(e)
-            cell.append(index[key])
-        cells.append(cell)
-    residues = tuple(ring(e, L) for e in entries)
-    images = [_fp_image(e, L, p, powers) for e in entries]
+    values, cells = _entries(md)
+    residues = tuple(ring(e, L) for e in values)
+    images = [_fp_image(e, L, p, powers) for e in values]
     keyed = all(images[n] for n in cells[0])
     inverses = {n: pow(images[n], -1, p) for n in cells[0]} if keyed else {}
     reps: list[tuple[int, int]] = []
@@ -159,7 +150,7 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
     for y, col in enumerate(columns):
         carriers[col] = carriers.get(col, ()) + (y,)
     return _RatioClasses(
-        m, L, 2 * top * top, tuple(entries), residues, tuple(reps),
+        ring, p, powers, L, residues, tuple(reps),
         buckets if keyed else None, tuple(columns), carriers,
     )
 
@@ -179,8 +170,8 @@ def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
     """For each column y, the columns whose ratio column is the image of
     column y under sigma_j: zeta_m -> zeta_m^j, with m the ratio conductor.
 
-    Each class a / b is mapped once.  phi o sigma_j sends zeta_m to z^j, so
-    when phi(sigma_j(b)) != 0 the image has the F_p key
+    Each S value and each class a / b is mapped once.  phi o sigma_j sends
+    zeta_m to z^j, so when phi(sigma_j(b)) != 0 the image has the F_p key
     phi(sigma_j(a)) / phi(sigma_j(b)), and a class a' / b' equal to it has
     that key too (see `_ratio_classes`): only the classes of that key are
     candidates.  Otherwise, or when the classes are not keyed, every class
@@ -191,24 +182,18 @@ def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
     class matches no column.
     """
     t = _ratio_classes(md)
-    ring = ResidueMap(t.conductor, t.bound)
-    M = ring.modulus
-    p, powers = _prime_powers(t.conductor)
-    L = t.scale
+    values = _entries(md)[0]
+    ring, p, L = t.ring, t.prime, t.scale
     every = range(len(t.reps))
-    fp: dict = {}
-    res: dict = {}
+    fp = [_fp_image(v, L, p, t.powers, j) for v in values]
+    res = [ring(v, L, j) for v in values]
     image = []
     for e, n in t.reps:
-        for i in (e, n):
-            if i not in fp:
-                fp[i] = _fp_image(t.entries[i], L, p, powers, j)
-                res[i] = ring(t.entries[i], L, j)
         if t.buckets is None or not fp[n]:
             candidates = every
         else:
             candidates = t.buckets.get(fp[e] * pow(fp[n], -1, p) % p, ())
-        image.append(_equal_class(candidates, t.reps, t.residues, res[e], res[n], M))
+        image.append(_equal_class(candidates, t.reps, t.residues, res[e], res[n], ring.modulus))
     return tuple(
         t.carriers.get(tuple(image[c] for c in col), ()) for col in t.columns
     )
@@ -323,7 +308,7 @@ def conjugate_category(md: ModularDatum, k: int) -> ModularDatum:
         raise ValueError(f"{k} is not a unit mod {N}")
     if k == 1:
         return md
-    S = [[e.galois(k) for e in row] for row in md.S]
+    S = _per_entry(md, lambda e: e.galois(k))
     T = [t**k for t in md.T]
     name = f"{md.name or 'datum'}^s{k}"
     out = ModularDatum(md.labels, S, T, name=name)

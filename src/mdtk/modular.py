@@ -7,6 +7,9 @@ construction.  The mathematically expensive consistency conditions live in
 broken datum can be inspected.  Everything downstream (fusion rules, Gauss
 sums, the normalized T matrix) raises NotModularError when the data fails
 the property it depends on.
+
+S repeats few values (pointed-c81: 81 among 6,561 entries), so every map
+of S entry by entry runs once per distinct value, through `_per_entry`.
 """
 
 from __future__ import annotations
@@ -228,9 +231,27 @@ def fs_exponent(md: ModularDatum) -> int:
 
 
 @_kept_on_datum
+def _entries(md: ModularDatum) -> tuple[tuple[Cyc, ...], tuple[tuple[int, ...], ...]]:
+    """The distinct S values, in order of first occurrence, and cells with
+    S[x][y] = values[cells[x][y]].  Entries with one conductor, denominator
+    and numerator tuple are one value; a value stored at two conductors
+    gets two indices, which costs one more image and nothing else."""
+    index: dict = {}
+    cells = tuple(tuple(index.setdefault((e.n, e.den, e.num), len(index)) for e in row) for row in md.S)
+    return tuple(Cyc(*key) for key in index), cells
+
+
+def _per_entry(md: ModularDatum, f) -> tuple[tuple, ...]:
+    """The matrix of f(S[x][y]), calling f once per distinct value."""
+    values, cells = _entries(md)
+    images = tuple(map(f, values))
+    return tuple(tuple(map(images.__getitem__, row)) for row in cells)
+
+
+@_kept_on_datum
 def _s_conductor(md: ModularDatum) -> int:
     """lcm of the conductors of the stored S entries."""
-    return math.lcm(*(e.n for row in md.S for e in row))
+    return math.lcm(*(e.n for e in _entries(md)[0]))
 
 
 def gauss_sum(md: ModularDatum, sign: int = 1) -> Cyc:
@@ -329,9 +350,8 @@ def _integral_s(md: ModularDatum) -> tuple[int, int, tuple[tuple[int, ...], ...]
     """L, the lcm of the S denominators, so that L S lies in Z[zeta_N]; N,
     the lcm of the S conductors; and the norms ||L S[x][y]||_1 that bound
     every |sigma(L S[x][y])|."""
-    S = md.S
-    L = math.lcm(*(e.den for row in S for e in row))
-    return L, _s_conductor(md), tuple(tuple(_norm1(e, L) for e in row) for row in S)
+    L = math.lcm(*(e.den for e in _entries(md)[0]))
+    return L, _s_conductor(md), _per_entry(md, lambda e: _norm1(e, L))
 
 
 def _norm1(e: Cyc, scale: int) -> int:
@@ -360,8 +380,8 @@ def _unitarity_images(md: ModularDatum):
     top = max(map(max, norms))
     unitarity = max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L)
     ring = ResidueMap(N, max(unitarity, 2 * top * top))
-    a = tuple(tuple(ring(e, L) for e in row) for row in md.S)
-    abar = tuple(tuple(ring(e, L, -1) for e in row) for row in md.S)
+    a = _per_entry(md, lambda e: ring(e, L))
+    abar = _per_entry(md, lambda e: ring(e, L, -1))
     return ring, a, abar
 
 
@@ -581,7 +601,7 @@ def _verlinde_candidates(md: ModularDatum, planes, duals):
     if L != 1:
         return None
     p, powers = _prime_powers(N)
-    A = [[_fp_image(e, 1, p, powers) for e in row] for row in md.S]
+    A = _per_entry(md, lambda e: _fp_image(e, 1, p, powers))
     d = _fp_image(global_dim(md), 1, p, powers)
     if d == 0 or 0 in A[0]:
         return None
@@ -622,7 +642,7 @@ def _verlinde_certified(md: ModularDatum, rows) -> bool:
     fused = max(map(sum, rows.values()))
     ring = ResidueMap(N, fused * max(norms[0]) * top + top * top)
     m = ring.modulus
-    a = [[ring(e, L) for e in row] for row in md.S]
+    a = _per_entry(md, lambda e: ring(e, L))
     # A[z][c] is the image of A[0][c] A[z][c]; all columns go at once
     A = [[a[0][c] * a[z][c] % m for c in range(r)] for z in range(r)]
     mod = repeat(m)
@@ -700,11 +720,12 @@ def _balancing_witness(md: ModularDatum, N) -> str:
     )
     m = ring.modulus
     theta = [ring.root(t.inverse()) for t in md.T]
-    dim_theta = [ring(e, L) * t % m for e, t in zip(md.S[0], theta)]
+    a = _per_entry(md, lambda e: ring(e, L))
+    dim_theta = [d * t % m for d, t in zip(a[0], theta)]
     for x in range(r):
         for y in range(x, r):
             rhs = sum(k * dim_theta[z] for z, k in enumerate(N[x][y]) if k)
-            if (theta[x] * theta[y] * ring(md.S[x][y], L) - rhs) % m:
+            if (theta[x] * theta[y] * a[x][y] - rhs) % m:
                 return f"balancing fails at ({md.labels[x]}, {md.labels[y]})"
     return ""
 

@@ -25,7 +25,7 @@ from mdtk.catalog_cli import (
     to_dict,
 )
 from mdtk.bounds import bound_check, key_object, lemma_orbit_bound
-from mdtk.construct import deligne_product, fibonacci, ising, so5_level9
+from mdtk.construct import MetricGroup, deligne_product, fibonacci, ising, pointed, so5_level9
 from mdtk.cyclo import RootOfUnity, rational, root_of_unity
 from mdtk.galois import conjugate_category, working_conductor
 from mdtk.modular import (
@@ -63,6 +63,12 @@ def test_dict_round_trip():
     blob = json.dumps(obj)
     again = from_dict(json.loads(blob))
     assert data_equal(again, md)
+
+
+def test_to_dict_encodes_every_entry():
+    # 625 objects, 5 distinct S values, each encoded once
+    md = pointed(MetricGroup.generator_form((5,) * 4, (1,) * 4))
+    assert to_dict(md)["S"] == [[e.to_json() for e in row] for row in md.S]
 
 
 def test_from_dict_validates_structure():

@@ -3,13 +3,14 @@ abelian doubles, Deligne products, and the graded vector space exponent."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from mdtk.catalog_cli import to_dict
-from mdtk.cyclo import RootOfUnity, rational, root_of_unity
+from mdtk.catalog_cli import builtin, builtin_names, to_dict
+from mdtk.cyclo import Cyc, RootOfUnity, rational, root_of_unity
 from mdtk.construct import (
     _element_label,
     CocycleSpec,
@@ -23,7 +24,7 @@ from mdtk.construct import (
     pointed,
     so5_level9,
 )
-from mdtk.modular import ModularDatum, data_equal, dims, fs_exponent, ndim, verify
+from mdtk.modular import ModularDatum, _entries, data_equal, dims, fs_exponent, ndim, verify
 
 
 def quad_metric(orders, mod, f):
@@ -334,6 +335,40 @@ def test_deligne_product_dims_multiply():
     p = deligne_product(a, b)
     da, dp = dims(a), dims(p)
     assert dp[p.index("(sigma,sigma)")] == da[2] * da[2]
+
+
+def _kronecker(a, b):
+    """The Kronecker product of the S matrices, one product per entry."""
+    return [[x * y for x in ra for y in rb] for ra in a.S for rb in b.S]
+
+
+def test_deligne_product_is_the_kronecker_product():
+    # the stored form (conductor, denominator, numerators) is compared, so
+    # a product computed once per value must come out exactly as before
+    form = operator.attrgetter("n", "den", "num")
+    for na, nb in itertools.combinations_with_replacement(builtin_names(), 2):
+        a, b = builtin(na), builtin(nb)
+        got = deligne_product(a, b).S
+        want = _kronecker(a, b)
+        assert [list(map(form, row)) for row in got] == [list(map(form, row)) for row in want], (na, nb)
+
+
+def test_deligne_product_multiplies_each_pair_of_values_once(monkeypatch):
+    a, b = so5_level9(1), so5_level9(2)
+    real = Cyc.__mul__
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return real(x, y)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    p = deligne_product(a, b)
+    monkeypatch.undo()
+    assert calls <= 2 * len(_entries(a)[0]) * len(_entries(b)[0]) < p.rank ** 2, calls
+    # equal mirrors come out as one object, which ModularDatum meets by `is`
+    assert all(p.S[x][y] is p.S[y][x] for x in range(p.rank) for y in range(x))
 
 
 # ---------------------------------------------- graded vector space exp

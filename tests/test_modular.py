@@ -11,7 +11,7 @@ import pytest
 
 from mdtk import modular
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.cyclo import Cyc, RootOfUnity, cyclotomic_poly, euler_phi, rational, root_of_unity
+from mdtk.cyclo import Cyc, ResidueMap, RootOfUnity, cyclotomic_poly, euler_phi, rational, root_of_unity
 from mdtk.construct import (
     MetricGroup,
     deligne_product,
@@ -21,9 +21,11 @@ from mdtk.construct import (
     pointed,
     so5_level9,
 )
+from mdtk.galois import verify_galois_identities
 from mdtk.modular import (
     _balancing_witness,
     _charge_conjugation,
+    _entries,
     _integral_s,
     _simple_products,
     _unitarity_images,
@@ -695,6 +697,52 @@ def test_verify_makes_few_field_products(monkeypatch):
     monkeypatch.setattr(Cyc, "__rmul__", counted)
     assert verify(md).ok
     assert calls <= 10 * md.rank, calls
+
+
+def test_verify_maps_each_distinct_value_once(monkeypatch):
+    md = deligne_product(so5_level9(1), so5_level9(2))
+    values = len(_entries(md)[0])
+    calls = {"ring": 0, "fp": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(ResidueMap, "__call__", counted("ring", ResidueMap.__call__))
+    monkeypatch.setattr(modular, "_fp_image", counted("fp", modular._fp_image))
+    assert verify(md).ok
+    # unitarity (A and conj A), the certificate and balancing, plus D
+    assert calls["ring"] <= 4 * values + 2 * md.rank, calls
+    assert 0 < calls["fp"] <= values + 1, calls
+    assert values < md.rank ** 2 // 10
+
+
+def _lifted(md, x, y):
+    """md with S[x][y] and its mirror replaced by one object, the same value
+    stored at twice its conductor."""
+    S = [list(row) for row in md.S]
+    e = S[x][y]
+    S[x][y] = S[y][x] = e.lift(2 * e.n)
+    return ModularDatum(md.labels, S, md.T, name=md.name)
+
+
+def test_a_value_stored_at_two_conductors_gets_two_indices():
+    md = deligne_product(ising(1, 1), so5_level9(2))
+    mixed = _lifted(md, 1, 4)
+    # the value at (1, 4) still occurs in its original form at (1, 10)
+    assert mixed.S[1][4] == mixed.S[1][10] and mixed.S[1][4].n != mixed.S[1][10].n
+    values, cells = _entries(md)
+    mixed_values, mixed_cells = _entries(mixed)
+    assert cells[1][4] == cells[1][10]
+    assert mixed_cells[1][4] == mixed_cells[4][1] != mixed_cells[1][10]
+    assert (len(values), len(mixed_values)) == (18, 19)
+    assert [[mixed_values[c].to_json() for c in row] for row in mixed_cells] == [
+        [e.to_json() for e in row] for row in mixed.S
+    ]
+    assert verify(mixed) == verify(md) and verify(md).ok
+    assert verify_galois_identities(mixed) == verify_galois_identities(md)
 
 
 def test_residue_bounds_cover_every_relation(monkeypatch):
