@@ -309,7 +309,7 @@ def _invertible_group_cyclic(ft: FusionTensor) -> bool:
             order += 1
         if order == r:
             return True
-    return r == 1
+    return False
 
 
 def extremal_classify(md: ModularDatum) -> str:

@@ -72,14 +72,14 @@ def to_dict(md: ModularDatum) -> dict:
     }
 
 
-def _write_datum(md: ModularDatum, fh) -> None:
+def _datum_line(md: ModularDatum) -> str:
     # json.dumps, not json.dump: only dumps runs the C encoder
-    fh.write(json.dumps(to_dict(md), separators=(",", ":")) + "\n")
+    return json.dumps(to_dict(md), separators=(",", ":"))
 
 
 def save(md: ModularDatum, path: str) -> None:
     with open(path, "w") as fh:
-        _write_datum(md, fh)
+        fh.write(_datum_line(md) + "\n")
 
 
 def from_dict(obj: dict) -> ModularDatum:
@@ -377,30 +377,37 @@ def _report_dict(md: ModularDatum) -> dict:
     }
 
 
-def _print_report(rep: dict, out):
-    out.write(f"name:            {rep['name']}\n")
-    out.write(f"rank:            {rep['rank']}\n")
-    for lab, ds, df in zip(rep["labels"], rep["dims"], rep["dims_float"]):
-        out.write(f"  dim({lab}) = {ds}  ~ {df}\n")
-    out.write(f"global dim:      {rep['global_dim']}  ~ {rep['global_dim_float']}\n")
-    out.write(f"Ndim (norm):     {rep['ndim']}\n")
-    out.write(f"FSexp:           {rep['fs_exponent']}\n")
-    out.write(f"normalized T:    order {rep['normalized_t_order']}, gamma = {rep['gamma']}\n")
-    out.write(f"anomaly:         {rep['anomaly']} (order {rep['anomaly_order']})\n")
-    out.write(f"gauss sums:      {rep['gauss_sum_plus']} / {rep['gauss_sum_minus']}\n")
-    out.write(f"FPdim:           {rep['fpdim']:.12g} (pseudounitary: {rep['pseudounitary']})\n")
-    out.write(f"invertibles:     {', '.join(rep['invertibles'])}\n")
-    out.write(f"symmetric center: {', '.join(rep['symmetric_center'])}\n")
+def _report_text(rep: dict) -> str:
+    return "\n".join([
+        f"name:            {rep['name']}",
+        f"rank:            {rep['rank']}",
+        *(f"  dim({lab}) = {ds}  ~ {df}"
+          for lab, ds, df in zip(rep["labels"], rep["dims"], rep["dims_float"])),
+        f"global dim:      {rep['global_dim']}  ~ {rep['global_dim_float']}",
+        f"Ndim (norm):     {rep['ndim']}",
+        f"FSexp:           {rep['fs_exponent']}",
+        f"normalized T:    order {rep['normalized_t_order']}, gamma = {rep['gamma']}",
+        f"anomaly:         {rep['anomaly']} (order {rep['anomaly_order']})",
+        f"gauss sums:      {rep['gauss_sum_plus']} / {rep['gauss_sum_minus']}",
+        f"FPdim:           {rep['fpdim']:.12g} (pseudounitary: {rep['pseudounitary']})",
+        f"invertibles:     {', '.join(rep['invertibles'])}",
+        f"symmetric center: {', '.join(rep['symmetric_center'])}",
+    ])
 
 
-def _emit_datum(md: ModularDatum, path: str | None, out) -> None:
+# Each command returns (exit code, record, text); `main` prints the record
+# as JSON under --json and otherwise the text, if any.
+
+
+def _datum_result(md: ModularDatum, path: str | None):
+    """Save md to path, or return its datum line as the text."""
     if path:
         save(md, path)
-    else:
-        _write_datum(md, out)
+        return 0, None, None
+    return 0, None, _datum_line(md)
 
 
-def _cmd_construct(args, out) -> int:
+def _cmd_construct(args):
     from .construct import MetricGroup, double_abelian, fibonacci, ising, pointed, so5_level9
 
     try:
@@ -418,100 +425,58 @@ def _cmd_construct(args, out) -> int:
             md = double_abelian(tuple(args.orders))
     except ValueError as e:
         raise DataFormatError(str(e)) from None
-    _emit_datum(md, args.output, out)
-    return 0
+    return _datum_result(md, args.output)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     md = _resolve(args.datum)
     rep = verify(md)
-    if args.json:
-        json.dump({"name": md.name, "ok": rep.ok, "checks": [c._asdict() for c in rep.checks]}, out)
-        out.write("\n")
-    else:
-        out.write(str(rep) + "\n")
-    return 0 if rep.ok else 1
+    record = {"name": md.name, "ok": rep.ok, "checks": [c._asdict() for c in rep.checks]}
+    return 0 if rep.ok else 1, record, str(rep)
 
 
-def _cmd_report(args, out) -> int:
-    md = _resolve(args.datum)
-    rep = _report_dict(md)
-    if args.json:
-        json.dump(rep, out)
-        out.write("\n")
-    else:
-        _print_report(rep, out)
-    return 0
+def _cmd_report(args):
+    rep = _report_dict(_resolve(args.datum))
+    return 0, rep, _report_text(rep)
 
 
-def _cmd_fusion(args, out) -> int:
+def _cmd_fusion(args):
     md = _resolve(args.datum)
     ft = verlinde_fusion(md)
-    r = ft.rank
-    if args.json:
-        entries = []
-        for x in range(r):
-            for y in range(x, r):
-                for z in range(r):
-                    if ft.N[x][y][z]:
-                        entries.append(
-                            {
-                                "x": ft.labels[x],
-                                "y": ft.labels[y],
-                                "z": ft.labels[z],
-                                "n": ft.N[x][y][z],
-                            }
-                        )
-        json.dump({"name": md.name, "fusion": entries}, out)
-        out.write("\n")
-    else:
-        for x in range(r):
-            for y in range(x, r):
-                terms = []
-                for z in range(r):
-                    m = ft.N[x][y][z]
-                    if m == 1:
-                        terms.append(ft.labels[z])
-                    elif m > 1:
-                        terms.append(f"{m}*{ft.labels[z]}")
-                out.write(f"{ft.labels[x]} * {ft.labels[y]} = {' + '.join(terms)}\n")
-    return 0
+    labels = ft.labels
+    entries, lines = [], []
+    for x in range(ft.rank):
+        for y in range(x, ft.rank):
+            terms = []
+            for z, n in enumerate(ft.N[x][y]):
+                if n:
+                    entries.append({"x": labels[x], "y": labels[y], "z": labels[z], "n": n})
+                    terms.append(labels[z] if n == 1 else f"{n}*{labels[z]}")
+            lines.append(f"{labels[x]} * {labels[y]} = {' + '.join(terms)}")
+    return 0, {"name": md.name, "fusion": entries}, "\n".join(lines)
 
 
-def _cmd_orbits(args, out) -> int:
+def _cmd_orbits(args):
     from .galois import orbit, orbit_t, working_conductor
 
     md = _resolve(args.datum)
-    rows = []
+    N = working_conductor(md)
+    rows, lines = [], [f"working conductor: {N}"]
     for lab in md.labels:
         full = sorted(orbit(md, lab))
         sub_labels, sub_sum = orbit_t(md, lab)
+        squared = sorted(sub_labels)
         rows.append(
-            {
-                "label": lab,
-                "orbit": full,
-                "squared_orbit": sorted(sub_labels),
-                "squared_orbit_dim_sum": str(sub_sum),
-            }
+            {"label": lab, "orbit": full, "squared_orbit": squared, "squared_orbit_dim_sum": str(sub_sum)}
         )
-    if args.json:
-        json.dump(
-            {"name": md.name, "working_conductor": working_conductor(md), "orbits": rows},
-            out,
+        lines.append(
+            f"{lab}: orbit {{{', '.join(full)}}}, squared orbit {{{', '.join(squared)}}} "
+            f"(dim^2 sum {sub_sum})"
         )
-        out.write("\n")
-    else:
-        out.write(f"working conductor: {working_conductor(md)}\n")
-        for row in rows:
-            out.write(
-                f"{row['label']}: orbit {{{', '.join(row['orbit'])}}}, "
-                f"squared orbit {{{', '.join(row['squared_orbit'])}}} "
-                f"(dim^2 sum {row['squared_orbit_dim_sum']})\n"
-            )
-    return 0
+    return 0, {"name": md.name, "working_conductor": N, "orbits": rows}, "\n".join(lines)
 
 
-def _cmd_conjugate(args, out) -> int:
+def _cmd_conjugate(args):
     from .galois import conjugate_category
 
     md = _resolve(args.datum)
@@ -519,41 +484,31 @@ def _cmd_conjugate(args, out) -> int:
         res = conjugate_category(md, args.k)
     except ValueError as e:
         raise DataFormatError(str(e)) from None
-    _emit_datum(res, args.output, out)
-    return 0
+    return _datum_result(res, args.output)
 
 
-def _cmd_product(args, out) -> int:
+def _cmd_product(args):
     from .construct import deligne_product
 
     a = _resolve(args.left)
     b = _resolve(args.right)
     _check_conductor_cap([e.n for md in (a, b) for row in md.S for e in row]
                          + [t.order for md in (a, b) for t in md.T])
-    _emit_datum(deligne_product(a, b), args.output, out)
-    return 0
+    return _datum_result(deligne_product(a, b), args.output)
 
 
-def _cmd_bound_check(args, out) -> int:
+def _cmd_bound_check(args):
     from .bounds import bound_check
 
-    md = _resolve(args.datum)
-    v = bound_check(md, classify=args.classify)
-    if args.json:
-        json.dump(v._asdict(), out)
-        out.write("\n")
-    else:
-        out.write(str(v) + "\n")
-    return 0 if v.bound_holds else 1
+    v = bound_check(_resolve(args.datum), classify=args.classify)
+    return 0 if v.bound_holds else 1, v._asdict(), str(v)
 
 
-def _cmd_catalog(args, out) -> int:
+def _cmd_catalog(args):
     if args.all:
-        clean = catalog_sweep(out if not args.json else None)
-        if args.json:
-            json.dump({"ok": clean}, out)
-            out.write("\n")
-        return 0 if clean else 1
+        # the sweep streams its text lines as it goes
+        clean = catalog_sweep(None if args.json else sys.stdout)
+        return 0 if clean else 1, {"ok": clean}, None
     rows = []
     for entry in catalog_entries():
         md = entry.datum
@@ -566,16 +521,12 @@ def _cmd_catalog(args, out) -> int:
                 "notes": entry.notes,
             }
         )
-    if args.json:
-        json.dump(rows, out)
-        out.write("\n")
-    else:
-        for row in rows:
-            out.write(
-                f"{row['name']:16} rank {row['rank']:3}  FSexp {row['fs_exponent']:3}  "
-                f"Ndim {row['ndim']:3}  {row['notes']}\n"
-            )
-    return 0
+    text = "\n".join(
+        f"{row['name']:16} rank {row['rank']:3}  FSexp {row['fs_exponent']:3}  "
+        f"Ndim {row['ndim']:3}  {row['notes']}"
+        for row in rows
+    )
+    return 0, rows, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -584,9 +535,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations with modular data: invariants, "
         "Galois orbits, and the prime power bound on the T order.",
     )
+    p.set_defaults(json=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a datum from a named family")
+    c.set_defaults(run=_cmd_construct)
     cs = c.add_subparsers(dest="family", required=True)
     cp = cs.add_parser("pointed", help="pointed datum from a quadratic form")
     cp.add_argument("--orders", type=int, nargs="+", required=True)
@@ -603,68 +556,52 @@ def _build_parser() -> argparse.ArgumentParser:
     for sp in (cp, ci, cf, cso, cd):
         sp.add_argument("-o", "--output", default=None)
 
-    v = sub.add_parser("verify", help="run the consistency battery")
-    v.add_argument("datum")
-    v.add_argument("--json", action="store_true")
-
-    r = sub.add_parser("report", help="print the invariants of a datum")
-    r.add_argument("datum")
-    r.add_argument("--json", action="store_true")
-
-    f = sub.add_parser("fusion", help="print the fusion rules")
-    f.add_argument("datum")
-    f.add_argument("--json", action="store_true")
-
-    o = sub.add_parser("orbits", help="Galois orbits of the objects")
-    o.add_argument("datum")
-    o.add_argument("--json", action="store_true")
+    for name, run, text in (
+        ("verify", _cmd_verify, "run the consistency battery"),
+        ("report", _cmd_report, "print the invariants of a datum"),
+        ("fusion", _cmd_fusion, "print the fusion rules"),
+        ("orbits", _cmd_orbits, "Galois orbits of the objects"),
+        ("bound-check", _cmd_bound_check, "check the prime power T order bound"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("datum")
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(run=run)
+    # sp is the bound-check parser
+    sp.add_argument("--classify", action="store_true")
 
     cj = sub.add_parser("conjugate", help="apply a Galois automorphism")
     cj.add_argument("datum")
     cj.add_argument("--k", type=int, required=True)
     cj.add_argument("-o", "--output", default=None)
+    cj.set_defaults(run=_cmd_conjugate)
 
     pr = sub.add_parser("product", help="tensor product of two data")
     pr.add_argument("left")
     pr.add_argument("right")
     pr.add_argument("-o", "--output", default=None)
-
-    b = sub.add_parser("bound-check", help="check the prime power T order bound")
-    b.add_argument("datum")
-    b.add_argument("--json", action="store_true")
-    b.add_argument("--classify", action="store_true")
+    pr.set_defaults(run=_cmd_product)
 
     cat = sub.add_parser("catalog", help="list builtins; --all runs the full sweep")
     cat.add_argument("--all", action="store_true")
     cat.add_argument("--json", action="store_true")
+    cat.set_defaults(run=_cmd_catalog)
 
     return p
 
 
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-    "fusion": _cmd_fusion,
-    "orbits": _cmd_orbits,
-    "conjugate": _cmd_conjugate,
-    "product": _cmd_product,
-    "bound-check": _cmd_bound_check,
-    "catalog": _cmd_catalog,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
-    except MdtkError as e:
+        code, record, text = args.run(args)
+        if args.json:
+            print(json.dumps(record))
+        elif text is not None:
+            print(text)
+    except (MdtkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    return code
 
 
 # the entry points are `python -m mdtk` and the `mdtk` script

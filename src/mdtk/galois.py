@@ -35,6 +35,7 @@ from .modular import (
     _integral_s,
     _kept_on_datum,
     _norm1,
+    _pair_ring,
     _per_entry,
     _prime_powers,
     _s_conductor,
@@ -77,12 +78,11 @@ def working_conductor(md: ModularDatum) -> int:
     return math.lcm(12 * fs_exponent(md), _s_conductor(md))
 
 
-class _RatioClasses(namedtuple("_RatioClasses", "ring prime powers scale residues reps buckets columns carriers")):
+class _RatioClasses(namedtuple("_RatioClasses", "prime powers reps buckets columns carriers")):
     """The distinct values of the ratio columns S[x][y] / S[0][y], built by
-    `_ratio_classes`.  `residues` are the images in `ring` of A = L S at the
-    distinct S entries (see `_entries`), L = `scale`, and (prime, powers)
-    is `_prime_powers` at the ring's conductor; class c is the value
-    A[e] / A[n] of the pair reps[c] of entry numbers;
+    `_ratio_classes`.  (prime, powers) is `_prime_powers` at the S
+    conductor; with A = L S, class c is the value A[e] / A[n] of the pair
+    reps[c] of entry numbers (see `_entries`);
     `buckets` maps an F_p key to the classes that have it, or is None when
     the classes are not keyed; `columns[y]` holds the classes of column y,
     and `carriers` maps a class tuple to the columns carrying it, in
@@ -103,8 +103,8 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
     keys, since a/b = a'/b' gives a b' = a' b and phi is a ring map.  So
     each pair is compared only with the classes of its key, by
     cross-multiplying: a b' - a' b has every |sigma| at most 2 top^2, with
-    top the largest ||A[x][y]||_1, and the ring decides it exactly (see
-    `ResidueMap`).  The classes are the distinct ratio values.  When some
+    top the largest ||A[x][y]||_1, and the pair ring decides it exactly
+    (see `_pair_ring`).  The classes are the distinct ratio values.  When some
     normalizer maps to 0, no pair is keyed and each is compared with every
     class, which is exact too.
     """
@@ -114,13 +114,11 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
             raise NotModularError(
                 f"S[0][{md.labels[y]}] is zero; ratio columns undefined"
             )
-    L, m, norms = _integral_s(md)
-    top = max(map(max, norms))
-    ring = ResidueMap(m, 2 * top * top)
+    L, m, _ = _integral_s(md)
+    ring, residues = _pair_ring(md)
     M = ring.modulus
     p, powers = _prime_powers(m)
     values, cells = _entries(md)
-    residues = tuple(ring(e, L) for e in values)
     images = [_fp_image(e, L, p, powers) for e in values]
     keyed = all(images[n] for n in cells[0])
     inverses = {n: pow(images[n], -1, p) for n in cells[0]} if keyed else {}
@@ -150,8 +148,7 @@ def _ratio_classes(md: ModularDatum) -> _RatioClasses:
     for y, col in enumerate(columns):
         carriers[col] = carriers.get(col, ()) + (y,)
     return _RatioClasses(
-        ring, p, powers, L, residues, tuple(reps),
-        buckets if keyed else None, tuple(columns), carriers,
+        p, powers, tuple(reps), buckets if keyed else None, tuple(columns), carriers,
     )
 
 
@@ -183,7 +180,8 @@ def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
     """
     t = _ratio_classes(md)
     values = _entries(md)[0]
-    ring, p, L = t.ring, t.prime, t.scale
+    ring, residues = _pair_ring(md)
+    L, p = _integral_s(md)[0], t.prime
     every = range(len(t.reps))
     fp = [_fp_image(v, L, p, t.powers, j) for v in values]
     res = [ring(v, L, j) for v in values]
@@ -193,7 +191,7 @@ def _matching_at(md: ModularDatum, j: int) -> tuple[tuple[int, ...], ...]:
             candidates = every
         else:
             candidates = t.buckets.get(fp[e] * pow(fp[n], -1, p) % p, ())
-        image.append(_equal_class(candidates, t.reps, t.residues, res[e], res[n], ring.modulus))
+        image.append(_equal_class(candidates, t.reps, residues, res[e], res[n], ring.modulus))
     return tuple(
         t.carriers.get(tuple(image[c] for c in col), ()) for col in t.columns
     )

@@ -361,28 +361,40 @@ def _norm1(e: Cyc, scale: int) -> int:
 
 @_kept_on_datum
 def _unitarity_images(md: ModularDatum):
-    """The ring that decides unitarity, charge conjugation and the simple
-    products of `verlinde_fusion`, and the images of the rows of A = L S
-    and of conj(A) in it, one tuple of residues per row.
+    """The ring that decides unitarity and charge conjugation, and the
+    images of the rows of A = L S and of conj(A) in it, one tuple of
+    residues per row.
 
-    The bound is the larger of 2 top^2, with top the largest
-    ||A[x][y]||_1, and the largest row sum of ||A[i][k]||_1^2 plus
-    ||L^2 D||_1, which covers every entry of A conj(A)^T - L^2 D I (see
+    The bound is the largest row sum of ||A[i][k]||_1^2 plus ||L^2 D||_1,
+    which covers every entry of A conj(A)^T - L^2 D I (see
     `_unitarity_witness`).  It decides equality of two entries of A or
-    conj(A): the difference of A[i][k] and conj(A[j][k]) has every |sigma|
-    at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, since conjugation keeps
-    the 1-norm, and 2 top <= 2 top^2.  So two rows are equal exactly when
-    their residue tuples are.  It decides A[x][c] A[y][c] = A[0][c] A[z][c]
-    too, whose difference has every |sigma| at most 2 top^2.
+    conj(A) too: the difference of A[i][k] and conj(A[j][k]) has every
+    |sigma| at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, with top the
+    largest ||A[x][y]||_1, since conjugation keeps the 1-norm.  The row
+    holding top gives a row sum of at least top^2, and ||L^2 D||_1 >= 1 as
+    D is nonzero, so the bound is at least top^2 + 1 >= 2 top.  So two rows
+    are equal exactly when their residue tuples are.
     """
     D = global_dim(md)
     L, N, norms = _integral_s(md)
-    top = max(map(max, norms))
-    unitarity = max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L)
-    ring = ResidueMap(N, max(unitarity, 2 * top * top))
+    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
     a = _per_entry(md, lambda e: ring(e, L))
     abar = _per_entry(md, lambda e: ring(e, L, -1))
     return ring, a, abar
+
+
+@_kept_on_datum
+def _pair_ring(md: ModularDatum):
+    """The ring that decides a b' = a' b for entries of A = L S or their
+    Galois conjugates, and the residues of A at the distinct S values (see
+    `_entries`), for the simple products of `verlinde_fusion` and for
+    `galois._ratio_classes`.  Each difference has every |sigma| at most
+    2 top^2, with top the largest ||A[x][y]||_1, since sigma_k keeps the
+    1-norm."""
+    L, N, norms = _integral_s(md)
+    top = max(map(max, norms))
+    ring = ResidueMap(N, 2 * top * top)
+    return ring, tuple(ring(e, L) for e in _entries(md)[0])
 
 
 @_kept_on_datum
@@ -456,8 +468,8 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     the formula into sum_w N[x][y][w] S[w][c] = S[x][c] S[y][c] / S[0][c],
     so every simple product satisfies these equations.  Each difference
     A[x][c] A[y][c] - A[0][c] A[z][c] has every |sigma| at most 2 top^2,
-    with top the largest ||A[x][y]||_1, and the unitarity ring decides it
-    (see `_unitarity_images` and `ResidueMap`).  Each z is keyed by the
+    with top the largest ||A[x][y]||_1, and the pair ring decides it (see
+    `_pair_ring` and `ResidueMap`).  Each z is keyed by the
     residues of A[0][c] A[z][c] over all c; a pair is looked up only when
     its c = 0 residue is that of some z (see `_simple_products`).  Every
     (x, 0) pair matches, and on pointed data every pair does.
@@ -503,7 +515,7 @@ def _fusion_from_planes(md: ModularDatum, planes) -> FusionTensor:
 
 def _simple_products(md: ModularDatum):
     """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
-    decided in the unitarity ring, else None.  S must be unitary with no
+    decided in the pair ring, else None.  S must be unitary with no
     S[0][c] zero (see `verlinde_fusion`).
 
     The key of z is the residues of A[0][c] A[z][c] over all c.  A pair
@@ -512,7 +524,8 @@ def _simple_products(md: ModularDatum):
     products for the match, not r^3 / 2.
     """
     r = md.rank
-    ring, a, _ = _unitarity_images(md)
+    ring, residues = _pair_ring(md)
+    a = tuple(tuple(map(residues.__getitem__, row)) for row in _entries(md)[1])
     m = ring.modulus
     mod = repeat(m)
     keys = {tuple(map(operator.mod, map(operator.mul, a[0], az), mod)): z for z, az in enumerate(a)}
@@ -829,20 +842,18 @@ def normalized_t(md: ModularDatum) -> tuple[RootOfUnity, tuple[RootOfUnity, ...]
     Each sixth root g of the anomaly has (tau+ g^(-3))^2 = D, and
     g^3 sqrt(D) = tau+ exactly when tau+ g^(-3) is totally real and
     positive; of the three such g, gamma has the smallest (order, exponent).
-    The order of t is checked to be a multiple of the T order and a divisor
-    of 12 times it.
+    The sixth roots are g_j = g_0 zeta_6^j, and g_j^(-3) = (-1)^j g_0^(-3),
+    so the one value tau+ g_0^(-3) decides all six: g_j passes for the j
+    of one parity, or for none.  The order of t is checked to be a
+    multiple of the T order and a divisor of 12 times it.
     """
     xi = anomaly(md)
-    tau = gauss_sum(md, 1)
     M = xi.order
-    winners = []
-    for j in range(6):
-        g = RootOfUnity.make(6 * M, xi.exponent + j * M)
-        root = tau * (g**-3).to_cyc()
-        if root.is_totally_real() and root.sign() > 0:
-            winners.append(g)
-    if not winners:
+    root = gauss_sum(md, 1) * (RootOfUnity.make(6 * M, xi.exponent) ** -3).to_cyc()
+    sign = root.sign() if root.is_totally_real() else 0
+    if not sign:
         raise NotModularError("no sixth root of the anomaly matches the Gauss sum")
+    winners = [RootOfUnity.make(6 * M, xi.exponent + j * M) for j in range(sign < 0, 6, 2)]
     gamma = min(winners, key=lambda g: (g.order, g.exponent))
     t = tuple(x * gamma for x in md.T)
     n_t = math.lcm(*(x.order for x in t))

@@ -1,6 +1,7 @@
 """Exponent bound verdicts, the orbit trace bound, Siegel's bound, and
 extremal classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from mdtk.bounds import (
     siegel_check,
 )
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.modular import NotModularError, fpdim_pseudounitary
+from mdtk.modular import ModularDatum, NotModularError, fpdim_pseudounitary
 
 
 def cyclic_pointed(n, name=None):
@@ -226,6 +227,10 @@ def test_extremal_classify_direct():
     assert extremal_classify(ising(7, -1)) == "ising-x-pointed(1)"
     prod = deligne_product(ising(1, 1), ising(3, 1))
     assert extremal_classify(prod) == "ising-x-ising"
+    # q(g) = zeta_4^(g1^2 + g2^2) on (Z/2)^2: extremal, and the group is
+    # not cyclic
+    v = bound_check(pointed(MetricGroup.generator_form((2, 2), (1, 1))), classify=True)
+    assert (v.fsexp, v.ndim, v.extremal, v.extremal_class) == (4, 4, True, "pointed-other")
 
 
 def test_extremal_classify_ising_with_pointed():
@@ -243,6 +248,16 @@ def test_extremal_classify_ising_with_groups_of_order_four():
         v = bound_check(md, classify=True)
         assert (v.fsexp, v.ndim, v.tier) == (16, 16, 1)
         assert v.extremal_class == "ising-x-pointed(4)"
+        # with the non-unit objects reordered, the isomorphism search must
+        # reject assignments and backtrack; these two orders reach both of
+        # its rejections
+        for seed in (1, 3):
+            p = [0] + random.Random(seed).sample(range(1, 12), 11)
+            shuffled = ModularDatum(
+                [md.labels[i] for i in p], [[md.S[i][j] for j in p] for i in p],
+                [md.T[i] for i in p],
+            )
+            assert extremal_classify(shuffled) == "ising-x-pointed(4)"
 
 
 def test_extremal_classify_unclassified():

@@ -27,8 +27,8 @@ from mdtk.modular import (
     _charge_conjugation,
     _entries,
     _integral_s,
+    _pair_ring,
     _simple_products,
-    _unitarity_images,
     _unitarity_witness,
     _verlinde_certified,
     _verlinde_candidates,
@@ -783,20 +783,22 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
             A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
             for x in range(r) for y in range(r)
         )
-        # the unitarity ring also matches entries of L S and L conj(S), and
-        # A[x][c] A[y][c] against A[0][c] A[z][c] for every x, y, z and c
+        # the unitarity ring also matches entries of L S and L conj(S); the
+        # pair ring matches A[x][c] A[y][c] against A[0][c] A[z][c] for
+        # every x, y, z and c
         charge = 2 * max(map(max, A))
         match = max(A[x][c] * A[y][c] for x in range(r) for y in range(r) for c in range(r))
         match += max(A[0][c] * A[z][c] for z in range(r) for c in range(r))
         # no certificate ring when every product is simple
-        assert len(made) == 2 + bool(left), md.name
-        assert made[0] >= max(unitarity, charge, match), md.name
+        assert len(made) == 3 + bool(left), md.name
+        assert made[0] >= max(unitarity, charge), md.name
+        assert made[1] >= match, md.name
         assert made[-1] >= balancing, md.name
         if left:
-            assert made[1] >= verlinde, md.name
+            assert made[2] >= verlinde, md.name
         rings.add(len(made))
     # pointed-c27 has only simple products, the others do not
-    assert rings == {2, 3}
+    assert rings == {3, 4}
 
 
 # ------------------------------------------------ the symmetric Verlinde fill
@@ -1055,7 +1057,7 @@ def test_match_ring_bound_covers_the_simple_products():
         top = max(map(max, norms))
         # a ring for bound B keeps bits = (B + 1).bit_length(), so
         # 2^bits > B; the bound must be at least 2 top^2
-        ring = _unitarity_images(md)[0]
+        ring = _pair_ring(md)[0]
         assert ring.bits >= (2 * top * top + 1).bit_length(), md.name
         assert ring.modulus > (2 * top * top) ** euler_phi(ring.conductor), md.name
 
