@@ -19,7 +19,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 
 from .cyclo import Cyc, ResidueMap, RootOfUnity, _as_root_of_unity, _factorize, _is_prime, rational
 
@@ -474,31 +474,65 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     its c = 0 residue is that of some z (see `_simple_products`).  Every
     (x, 0) pair matches, and on pointed data every pair does.
 
-    The pairs left over get candidate values from the formula in F_p for
-    a prime p = 1 mod N, one value per sorted triple they need, with the
-    duals C read off the charge conjugation conj(S[z]) = S[C(z)] (see
-    `_verlinde_candidates`).  The candidates are accepted only after an
-    exact certificate:
+    Most pairs left over in a Deligne product need no formula: its fusion
+    rules are the Kronecker product of its factors' rules.  So the objects
+    are split first, when they can be, into R1 and R2 such that
+    (u, v) -> u tensor v is a bijection from R1 x R2 onto the simples and
+    every such product is simple by the match (see `_factor_rows`).  Only
+    the pairs inside R1 and inside R2 need values, and each factor is
+    split again the same way.  Every other pair is filled by
+
+        N[u1 v1][u2 v2][p q] = N[u1][u2][p] N[v1][v2][q],
+
+    writing u v for u tensor v.  This needs no further check.  Let
+    l_x(c) = S[x][c] / S[0][c].  By the formula,
+    sum_z N[x][y][z] l_z = l_x l_y, and the l_x are linearly independent,
+    since S is unitary, which is decided first; so N[x][y] is the unique
+    decomposition of l_x l_y.  Every row inside R1 is known with support
+    inside R1: a simple product inside R1 is checked to lie in R1 (see
+    `_product_table`), a candidate row is 0 outside R1 and certified
+    below, and a Kronecker row of a split of R1 holds by this same
+    argument.  So l_u1 l_u2 = sum_{p in R1} N[u1][u2][p] l_p, and the same
+    holds for R2.  A simple product u v = w gives l_u l_v = l_w, as shown
+    above, so l_x = l_u1 l_v1 and l_y = l_u2 l_v2.  So
+    l_x l_y = (l_u1 l_u2)(l_v1 l_v2) = sum_{p, q} N[u1][u2][p]
+    N[v1][v2][q] l_{p q}, and the p q are distinct objects: this is the
+    decomposition, and the Kronecker row is N[x][y].
+
+    The pairs inside a factor with no split get candidate values from the
+    formula in F_p for a prime p = 1 mod N, one value per sorted triple
+    they need, with the duals C read off the charge conjugation
+    conj(S[z]) = S[C(z)] (see `_verlinde_candidates`); an object outside
+    the factor gets 0.  The candidates are accepted only after an exact
+    certificate:
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
-    for every pair left over and every column c.  Since S^-1 = Sbar^T / D,
-    this proves that the candidates equal the formula.  It is decided
-    exactly in Z/m (see `_verlinde_certified`).  When S is not unitary, a
-    column has S[0][c] = 0, pairs are left over and S has no charge
-    conjugation, some D S[0][c] is 0 mod p, or the certificate fails, the
-    formula is evaluated exactly instead, which returns the same tensor or
-    raises the witness.
+    for every such pair and every column c.  Since S^-1 = Sbar^T / D,
+    this proves that the candidates equal the formula, and so that the
+    formula's rows inside a factor have support inside it.  It is decided
+    exactly in Z/m (see `_verlinde_certified`).  When a split's rows fail
+    the certificate, the candidates of every pair left over decide, as
+    when there is no split.  When S is not unitary, a column has
+    S[0][c] = 0, pairs are left over and S has no charge conjugation, some
+    D S[0][c] is 0 mod p, or the certificate fails, the formula is
+    evaluated exactly instead, which returns the same tensor or raises the
+    witness.
     """
     if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
         return _verlinde_exact(md)
     planes = _simple_products(md)
     if any(None in plane for plane in planes):
         duals = _charge_conjugation(md)[0]
-        rows = None if duals is None else _verlinde_candidates(md, planes, duals)
-        if rows is None or not _verlinde_certified(md, rows):
+        found = None if duals is None else _factor_rows(md, planes, duals)
+        if found is not None and not _verlinde_certified(md, found[1]):
+            # a wrong split: the candidates of every pair decide, unless
+            # they were the rows that failed
+            rows = None if found[1] is found[0] else _verlinde_candidates(md, planes, duals)
+            found = None if rows is None or not _verlinde_certified(md, rows) else (rows, rows)
+        if found is None:
             return _verlinde_exact(md)
-        for (x, y), row in rows.items():
+        for (x, y), row in found[0].items():
             planes[x][y] = row
     return _fusion_from_planes(md, planes)
 
@@ -543,6 +577,133 @@ def _simple_products(md: ModularDatum):
     return planes
 
 
+def _factor_rows(md: ModularDatum, planes, duals, block=None):
+    """(rows, fresh): rows[x, y] = N[x][y] for every pair y <= x inside
+    block (all objects by default) left open in planes, and fresh, the
+    rows among them from the candidate step, which must be certified (see
+    `verlinde_fusion`).  None when the candidate step has no values.
+
+    A block that `_centralizer_split` splits, with a product table from
+    `_product_table`, gets the rows inside each factor from this function
+    and the others as Kronecker products; any other block gets the
+    candidates of its own pairs.
+    """
+    objs = range(md.rank) if block is None else block
+    split = _centralizer_split(md, planes, objs)
+    table = split and _product_table(planes, objs, *split)
+    if not table:
+        rows = _verlinde_candidates(md, planes, duals) if block is None else _verlinde_candidates(md, planes, duals, block)
+        return None if rows is None else (rows, rows)
+    found = [_factor_rows(md, planes, duals, R) for R in split]
+    if None in found:
+        return None
+    rows = {**found[0][0], **found[1][0]}
+    fresh = {**found[0][1], **found[1][1]}
+
+    def terms(R):
+        """(position in R, multiplicity) for the support of N[x][y], at the
+        positions of every x, y in R, whose rows lie inside R."""
+        out = {}
+        for i, x in enumerate(R):
+            for j, y in enumerate(R[: i + 1]):
+                row = planes[x][y] or rows[x, y]
+                out[i, j] = out[j, i] = [(k, row[z]) for k, z in enumerate(R) if row[z]]
+        return out
+
+    t1, t2 = map(terms, split)
+    where = {z: (i, j) for i, line in enumerate(table) for j, z in enumerate(line)}
+    r = md.rank
+    for a, x in enumerate(objs):
+        i1, j1 = where[x]
+        for y in objs[: a + 1]:
+            if planes[x][y] is None and (x, y) not in rows:
+                i2, j2 = where[y]
+                row = [0] * r
+                for i, n in t1[i1, i2]:
+                    line = table[i]
+                    for j, k in t2[j1, j2]:
+                        row[line[j]] = n * k
+                rows[x, y] = tuple(row)
+    return rows, fresh
+
+
+def _centralizer_split(md: ModularDatum, planes, block):
+    """A proposed split (R1, R2) of block into two factors of more than one
+    object each, or None, as always when block has fewer than 4 objects or
+    a prime number of them.
+    Nothing is assumed of it: `_product_table` checks it, and the
+    certificate checks the rows inside it.
+
+    The centralizer of a set U in block is the y in block with
+    S[u][y] S[0][0] = S[u][0] S[0][y] for every u in U.  R2 is the
+    centralizer of one object x, and R1 the centralizer of R2.  For a
+    modular datum, when R2 meets its own centralizer only in the unit, R2
+    is a modular subcategory and the block is R1 tensor R2 (Mueger, Proc.
+    London Math. Soc. 87 (2003)).  In a product, an object of one factor
+    has the most simple partners, so x is taken among the objects that
+    are not invertible and have the most simple partners in block.  Their
+    centralizers with more than one object are tried from the smallest:
+    the first that meets its own centralizer only in the unit is R2.
+    Smaller ones can fail, such as the rank 3 subcategory of so5level9,
+    which centralizes itself, tensor the unit of pointed-c9, the
+    centralizer of (a, g) in so5level9 tensor pointed-c9 for g of order 9.
+    Each equation is decided in the pair ring (see `_pair_ring`).
+    """
+    n = len(block)
+    if n < 4 or _is_prime(n):
+        return None
+    partners = dict.fromkeys(block, 0)
+    for i, x in enumerate(block):
+        px = planes[x]
+        for y in block[: i + 1]:
+            if px[y] is not None:
+                partners[x] += 1
+                partners[y] += y != x
+    # a split gives each object u of R1 the simple partners u tensor w, w in
+    # R2, so some object that is not invertible has at least 2
+    top = max((k for k in partners.values() if k < n), default=0)
+    if top < 2:
+        return None
+    ring, residues = _pair_ring(md)
+    m = ring.modulus
+    cells = _entries(md)[1]
+    c0, a00 = cells[0], residues[cells[0][0]]
+
+    def centralizer(us, among=block):
+        return [
+            y for y in among
+            if all((residues[cells[u][y]] * a00 - residues[cells[u][0]] * residues[c0[y]]) % m == 0 for u in us)
+        ]
+
+    tried = {tuple(centralizer((x,))) for x in block if partners[x] == top}
+    for R2 in sorted(tried, key=lambda R: (len(R), R)):
+        if len(R2) > 1 and len(centralizer(R2, R2)) == 1:
+            R1 = centralizer(R2)
+            return (R1, list(R2)) if len(R1) > 1 else None
+    return None
+
+
+def _product_table(planes, block, R1, R2):
+    """table[i][j] = the object R1[i] tensor R2[j], when every such product
+    is simple by the match and they are the objects of block, each once,
+    and when the simple products of R1 and of R2 lie inside them; else
+    None.  The rows that are not simple products need no such check: the
+    candidates inside a factor are 0 outside it, and certified."""
+    def simple(x, y):
+        row = planes[max(x, y)][min(x, y)]
+        return None if row is None else row.index(1)
+
+    table = [[simple(u, v) for v in R2] for u in R1]
+    if any(None in line for line in table) or sorted(z for line in table for z in line) != list(block):
+        return None
+    for R in (R1, R2):
+        inside = set(R)
+        for i, x in enumerate(R):
+            if any(simple(x, y) not in inside for y in R[: i + 1] if planes[x][y] is not None):
+                return None
+    return table
+
+
 @lru_cache(maxsize=None)
 def _candidate_prime(N: int) -> tuple[int, int]:
     """The largest prime p < 2^30 with p = 1 mod N, and z = h^((p - 1) / N)
@@ -574,12 +735,33 @@ def _fp_image(e: Cyc, scale: int, p: int, powers: list[int], k: int = 1) -> int:
     return scale // e.den * acc % p
 
 
-def _verlinde_candidates(md: ModularDatum, planes, duals):
-    """{(x, y): N[x][y]} for the pairs y <= x with planes[x][y] None, from
-    the Verlinde formula in F_p, each value its least nonnegative residue;
-    None when S is not integral or some D S[0][c] is 0 mod p.  The other
-    planes[x][y] must be the simple products, and duals[z] the row of S
-    equal to conj(S[z]).
+@_kept_on_datum
+def _fp_weights(md: ModularDatum):
+    """(p, A, W) for the candidate step: A the image of S in F_p and
+    W[c][s] = A[c][s] / (D A[0][s]), with p from `_candidate_prime` at the
+    lcm of the S conductors; None when S is not integral or some D S[0][s]
+    is 0 mod p (see `_verlinde_candidates`)."""
+    L, N, _ = _integral_s(md)
+    if L != 1:
+        return None
+    p, powers = _prime_powers(N)
+    A = _per_entry(md, lambda e: _fp_image(e, 1, p, powers))
+    d = _fp_image(global_dim(md), 1, p, powers)
+    if d == 0 or 0 in A[0]:
+        return None
+    inverses = [pow(d * a, -1, p) for a in A[0]]
+    return p, A, [[a * v % p for a, v in zip(row, inverses)] for row in A]
+
+
+def _verlinde_candidates(md: ModularDatum, planes, duals, block=None):
+    """{(x, y): N[x][y]} for the pairs y <= x inside block (all objects by
+    default) with planes[x][y] None, from the Verlinde formula in F_p, each
+    value its least nonnegative residue and each value at an object outside
+    block 0; None when S is not integral or some D S[0][c] is 0 mod p.  The
+    other planes[x][y] must be the simple products, duals[z] the row of S
+    equal to conj(S[z]), and block a sorted list; a value whose dual
+    object lies outside block is read as 0, so a block not closed under
+    duals gets rows that the certificate rejects.
 
     With N the lcm of the S conductors and (p, z) from `_candidate_prime`,
     zeta_N -> z is a ring map Z[zeta_N] -> F_p: Phi_N(z) = 0 in F_p, since
@@ -610,34 +792,41 @@ def _verlinde_candidates(md: ModularDatum, planes, duals):
     after `_verlinde_certified`.
     """
     r = md.rank
-    L, N, _ = _integral_s(md)
-    if L != 1:
+    objs = range(r) if block is None else block
+    # the position of each object in block, and of every other object the
+    # position of the 0 appended to each line below
+    pos = dict.fromkeys(range(r), len(objs)) | {z: i for i, z in enumerate(objs)}
+    left = [(x, y) for i, x in enumerate(objs) for y in objs[: i + 1] if planes[x][y] is None]
+    if not left:
+        return {}
+    fp = _fp_weights(md)
+    if fp is None:
         return None
-    p, powers = _prime_powers(N)
-    A = _per_entry(md, lambda e: _fp_image(e, 1, p, powers))
-    d = _fp_image(global_dim(md), 1, p, powers)
-    if d == 0 or 0 in A[0]:
-        return None
-    inverses = [pow(d * a, -1, p) for a in A[0]]
-    W = [[a * v % p for a, v in zip(row, inverses)] for row in A]
-    left = [(x, y) for x, plane in enumerate(planes) for y, simple in enumerate(plane) if simple is None]
-    # M[a, b] holds M[a][b][c] for c <= b, at the pairs left over
+    p, A, W = fp
+    # M[a, b] holds M[a][b][c] for c <= b in block, at the pairs left over
     M: dict[tuple[int, int], list[int]] = {}
     for a, b in left:
         pab = [u * v % p for u, v in zip(A[a], A[b])]
-        M[a, b] = [sum(map(operator.mul, pab, w)) % p for w in W[: b + 1]]
+        M[a, b] = [sum(map(operator.mul, pab, W[c])) % p for c in objs[: pos[b] + 1]]
 
     def line(x, y):
-        """M at the sorted (x, y, w) for every w, given y <= x."""
-        dy = duals[y]
+        """M at the sorted (x, y, w) for every w in block, given y <= x, and
+        a final 0."""
+        iy, dy = pos[y], duals[y]
         px = planes[x]
         return (
             M[x, y]
-            + [M[x, w][y] if px[w] is None else px[w][dy] for w in range(y + 1, x + 1)]
-            + [M[w, x][y] if planes[w][x] is None else planes[w][x][dy] for w in range(x + 1, r)]
+            + [M[x, w][iy] if px[w] is None else px[w][dy] for w in objs[iy + 1 : pos[x] + 1]]
+            + [M[w, x][iy] if planes[w][x] is None else planes[w][x][dy] for w in objs[pos[x] + 1 :]]
+            + [0]
         )
 
-    return {(x, y): tuple(map(line(x, y).__getitem__, duals)) for x, y in left}
+    # N[x][y][z] = M[x][y][z*]; a value at z or z* outside block is the 0
+    # at the end of each line
+    take = [len(objs)] * r
+    for z in objs:
+        take[z] = pos[duals[z]]
+    return {(x, y): tuple(map(line(x, y).__getitem__, take)) for x, y in left}
 
 
 def _verlinde_certified(md: ModularDatum, rows) -> bool:
@@ -652,7 +841,7 @@ def _verlinde_certified(md: ModularDatum, rows) -> bool:
     r = md.rank
     L, N, norms = _integral_s(md)
     top = max(map(max, norms))
-    fused = max(map(sum, rows.values()))
+    fused = max(map(sum, rows.values()), default=0)
     ring = ResidueMap(N, fused * max(norms[0]) * top + top * top)
     m = ring.modulus
     a = _per_entry(md, lambda e: ring(e, L))
@@ -723,10 +912,19 @@ def _balancing_witness(md: ModularDatum, N) -> str:
     `ResidueMap`) at the lcm of the S conductors and the T orders.
     A twist has norm 1, so max ||A[x][y]||_1 plus the largest fusion row
     sum times max ||A[0][z]||_1 bounds every relation.
+
+    Each sum runs over the support of N[x][y] only.  A mirrored pair shares
+    its row object, and so does every simple product with one result, so
+    each distinct row object is scanned once for its support.
     """
     r = md.rank
     L, n_s, norms = _integral_s(md)
-    fused = max(sum(row) for plane in N for row in plane)
+    terms = {}
+    for plane in N:
+        for row in plane:
+            if id(row) not in terms:
+                terms[id(row)] = [(z, row[z]) for z in compress(range(r), row)]
+    fused = max(sum(k for _, k in t) for t in terms.values())
     ring = ResidueMap(
         math.lcm(n_s, *(t.order for t in md.T)),
         max(map(max, norms)) + fused * max(norms[0]),
@@ -735,9 +933,9 @@ def _balancing_witness(md: ModularDatum, N) -> str:
     theta = [ring.root(t.inverse()) for t in md.T]
     a = _per_entry(md, lambda e: ring(e, L))
     dim_theta = [d * t % m for d, t in zip(a[0], theta)]
-    for x in range(r):
+    for x, Nx in enumerate(N):
         for y in range(x, r):
-            rhs = sum(k * dim_theta[z] for z, k in enumerate(N[x][y]) if k)
+            rhs = sum(k * dim_theta[z] for z, k in terms[id(Nx[y])])
             if (theta[x] * theta[y] * a[x][y] - rhs) % m:
                 return f"balancing fails at ({md.labels[x]}, {md.labels[y]})"
     return ""

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdtk import modular
 from mdtk.catalog_cli import builtin, builtin_names
@@ -1141,3 +1143,210 @@ def test_gauss_sum_is_evaluated_once_per_sign(monkeypatch):
     assert exponents.count(1) == 0
     assert gauss_sum(md, sign=1) is gauss_sum(md) is gauss_sum(md, 1)
     assert exponents.count(-1) == md.rank
+
+
+# ------------------------------------------- fusion through tensor factors
+
+
+def triple_products():
+    """Three-factor products with their tables from the factors' exact
+    tables, in Kronecker order."""
+    so5_1, so5_2 = so5_level9(1), so5_level9(2)
+    fib, ising_1 = fibonacci(1), ising(1, 1)
+    so5_1_N, so5_2_N = _verlinde_exact(so5_1).N, _verlinde_exact(so5_2).N
+    return [
+        (deligne_product(deligne_product(fib, so5_1), so5_2), kron_table(kron_table(FIB_TABLE, so5_1_N), so5_2_N)),
+        (deligne_product(deligne_product(ising_1, fib), so5_1), kron_table(kron_table(ISING_TABLE, FIB_TABLE), so5_1_N)),
+        (deligne_product(deligne_product(so5_1, so5_2), ising_1), kron_table(kron_table(so5_1_N, so5_2_N), ISING_TABLE)),
+    ]
+
+
+def test_factored_verlinde_equals_the_factors_tables():
+    names = builtin_names()
+    exact = {name: _verlinde_exact(builtin(name)).N for name in names}
+    for name in names:
+        assert verlinde_fusion(builtin(name)).N == exact[name], name
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            md = deligne_product(builtin(a), builtin(b))
+            assert verlinde_fusion(md).N == kron_table(exact[a], exact[b]), (a, b)
+    for md, table in triple_products():
+        assert verlinde_fusion(md).N == table, md.name
+
+
+def relabelled(md, perm):
+    """md with object i renamed to object perm[i]; perm must fix 0."""
+    r = range(md.rank)
+    S = [[md.S[perm[i]][perm[j]] for j in r] for i in r]
+    return ModularDatum([md.labels[p] for p in perm], S, [md.T[p] for p in perm])
+
+
+@pytest.fixture(scope="module")
+def products_to_relabel():
+    so5_1, so5_2 = so5_level9(1), so5_level9(2)
+    return [
+        (deligne_product(so5_1, ising(3, -1)), kron_table(_verlinde_exact(so5_1).N, ISING_TABLE)),
+        (deligne_product(so5_1, so5_2), kron_table(_verlinde_exact(so5_1).N, _verlinde_exact(so5_2).N)),
+        triple_products()[1],
+    ]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_factored_verlinde_under_relabelling(products_to_relabel, data):
+    md, table = data.draw(st.sampled_from(products_to_relabel))
+    perm = [0] + data.draw(st.permutations(range(1, md.rank)))
+    want = tuple(tuple(tuple(table[x][y][z] for z in perm) for y in perm) for x in perm)
+    assert verlinde_fusion(relabelled(md, perm)).N == want
+
+
+def recorded_candidates(monkeypatch):
+    """Patch the candidate step to record, call by call, the pairs it
+    returns values for."""
+    real = modular._verlinde_candidates
+    calls = []
+
+    def recorded(*args):
+        rows = real(*args)
+        calls.append(list(rows or ()))
+        return rows
+
+    monkeypatch.setattr(modular, "_verlinde_candidates", recorded)
+    return calls
+
+
+def test_candidate_step_sees_only_pairs_inside_a_prime_factor(monkeypatch):
+    calls = recorded_candidates(monkeypatch)
+    so5_so5 = deligne_product(so5_level9(1), so5_level9(2))
+    triple = deligne_product(so5_so5, ising(1, 1))
+    # in so5 x pointed-c9, the centralizer of (a, g), g of order 9, is
+    # {1, a, b} x {0}, smaller than 1 x pointed-c9 and no factor
+    so5_c9 = deligne_product(so5_level9(1), builtin("pointed-c9"))
+    # deligne_product numbers (a, b) as a * rank(b) + b, so the objects of
+    # a prime factor are those with every other coordinate 0
+    for md, radices in ((so5_so5, (6, 6)), (triple, (6, 6, 3)), (so5_c9, (6, 9))):
+        calls.clear()
+        assert verify(md).ok
+        pairs = [pair for call in calls for pair in call]
+        strides = [math.prod(radices[k + 1:]) for k in range(len(radices))]
+        factors = [{i * s for i in range(n)} for n, s in zip(radices, strides)]
+        assert pairs and all(any({x, y} <= f for f in factors) for x, y in pairs), md.name
+        # each so5 factor has 21 pairs y <= x, ising 6 and pointed-c9 none
+        # left over
+        assert len(pairs) <= 21 * radices.count(6) + 6 * radices.count(3), (md.name, len(pairs))
+
+
+@pytest.mark.parametrize(
+    "second, table, proposal",
+    [
+        (lambda: so5_level9(1), lambda: _verlinde_exact(so5_level9(1)).N, "shifted"),
+        (pointed_c3, lambda: group_table((3,)), "shifted"),
+        (pointed_c3, lambda: group_table((3,)), "squared"),
+    ],
+    ids=["ising*so5level9-1-shifted", "ising*pointed-c3-shifted", "ising*pointed-c3-squared"],
+)
+def test_a_wrong_split_falls_back_to_the_candidates(monkeypatch, second, table, proposal):
+    md = deligne_product(ising(1, 1), second())
+    want = kron_table(ISING_TABLE, table())
+    report = verify(deligne_product(ising(1, 1), second()))
+    real = modular._centralizer_split
+    blocks = []
+
+    def wrong(md, planes, block):
+        """A wrong split of the whole datum; sub-blocks get the real split.
+        "shifted" multiplies each non-unit object of R2 by an invertible
+        object of R1: R1 x R2 still maps one to one onto the objects, by
+        simple products, but R2 is no fusion subring.  "squared" proposes
+        R2 twice, whose 9 simple products hit only 3 objects."""
+        blocks.append(len(block))
+        split = real(md, planes, block)
+        if len(block) < md.rank:
+            return split
+        R1, R2 = split
+        if proposal == "squared":
+            return R2, R2
+        g = next(u for u in R1[1:] if sum(map(sum, want[u])) == md.rank)
+        return R1, [0] + sorted(want[g][v].index(1) for v in R2[1:])
+
+    calls = recorded_candidates(monkeypatch)
+    monkeypatch.setattr(modular, "_centralizer_split", wrong)
+    assert verlinde_fusion(md).N == want
+    assert verify(md) == report
+    # the candidates of every pair left over decided
+    planes = _simple_products(md)
+    assert calls[-1] == [(x, y) for x, y in all_pairs(md) if planes[x][y] is None]
+    # on ising x so5 the shifted R2 has no simple product inside it, so the
+    # split passes the product table, its factors are searched, and the
+    # certificate rejects its rows; on ising x pointed-c3, (psi, g) squared
+    # is (1, g^2), outside the shifted R2, and the product table rejects
+    # both splits
+    assert blocks[0] == md.rank and len(blocks) == (3 if md.rank == 18 else 1)
+
+
+def test_block_candidates_are_zero_outside_the_block():
+    # in pointed-c3 x fib, x = (g, tau) with g not 0 is not self-dual; the
+    # block {1, x} is not closed under duals, and x tensor x = (g^2, 1) +
+    # (g^2, tau) lies outside it
+    md = deligne_product(pointed_c3(), fibonacci(1))
+    planes = _simple_products(md)
+    duals = _charge_conjugation(md)[0]
+    x = next(x for x in range(md.rank) if duals[x] != x and planes[x][x] is None)
+    rows = _verlinde_candidates(md, planes, duals, [0, x])
+    assert list(rows) == [(x, x)] and rows[x, x] == (0,) * md.rank
+    assert sum(verlinde_fusion(md).N[x][x]) == 2
+    assert not _verlinde_certified(md, rows)
+
+
+def changed_pair(md, a, b):
+    S = [list(row) for row in md.S]
+    S[a][b] = S[b][a] = S[a][b] + 1
+    return ModularDatum(md.labels, S, md.T, name=f"{md.name}~changed")
+
+
+def twisted_column(md, c, k):
+    """md with column c and row c of S moved by sigma_k."""
+    S = [list(row) for row in md.S]
+    for x in range(md.rank):
+        S[x][c] = S[c][x] = md.S[x][c].galois(k)
+    return ModularDatum(md.labels, S, md.T, name=f"{md.name}~twisted")
+
+
+BROKEN_S = ["s-unitary-scale", "charge-conjugation", "verlinde-integrality", "duality-match", "balancing"]
+PRODUCT_MUTATIONS = [
+    # (factors, mutation, failing checks, the first witness, pinned at the
+    # commit before fusion was split into tensor factors)
+    ((ising(1, 1), fibonacci(1)), "changed", BROKEN_S, "(S Sbar)[(1,1)][(psi,1)] = "),
+    ((ising(1, 1), fibonacci(1)), "twisted", BROKEN_S + ["gauss-sum-modulus"], "(S Sbar)[(1,1)][(1,tau)] = "),
+    ((ising(1, 1), fibonacci(1)), "flipped", BROKEN_S[2:],
+     "fusion multiplicity N((sigma,1),(1,tau);(sigma,tau)) = -1 is not a nonnegative integer"),
+    ((ising(1, 1), so5_level9(1)), "changed", BROKEN_S, "(S Sbar)[(1,1)][(1,b)] = "),
+    ((ising(1, 1), so5_level9(1)), "twisted", BROKEN_S + ["gauss-sum-modulus"], "(S Sbar)[(1,1)][(1,a)] = "),
+    ((ising(1, 1), so5_level9(1)), "flipped", BROKEN_S[2:],
+     "fusion multiplicity N((sigma,1),(1,u2);(sigma,u2)) = -1 is not a nonnegative integer"),
+    ((fibonacci(2), so5_level9(4)), "changed", BROKEN_S, "(S Sbar)[(1,1)][(1,b)] = "),
+    ((fibonacci(2), so5_level9(4)), "twisted", BROKEN_S + ["gauss-sum-modulus"], "(S Sbar)[(1,1)][(1,a)] = "),
+    ((fibonacci(2), so5_level9(4)), "flipped", BROKEN_S[2:],
+     "fusion multiplicity N((tau,1),(1,u2);(tau,u2)) = -1 is not a nonnegative integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, kind, failing, witness", PRODUCT_MUTATIONS,
+    ids=[f"{a.name}*{b.name}-{kind}" for (a, b), kind, *_ in PRODUCT_MUTATIONS],
+)
+def test_product_mutations_report_as_before(monkeypatch, factors, kind, failing, witness):
+    md = deligne_product(*factors)
+    r = md.rank
+    # a changed entry or a twisted column breaks unitarity; the sign flip
+    # keeps S unitary and reaches the split, which the product table rejects
+    mutate = {
+        "changed": lambda: changed_pair(md, 2, r - 1),
+        "twisted": lambda: twisted_column(md, r - 1, 7),
+        "flipped": lambda: sign_flipped(md, r - 1),
+    }[kind]
+    got = verify(mutate())
+    assert [c.name for c in got.failures] == failing
+    assert got.failures[0].witness.startswith(witness)
+    # and the whole report is that of the candidates of every pair
+    monkeypatch.setattr(modular, "_centralizer_split", lambda md, planes, block: None)
+    assert verify(mutate()) == got
