@@ -511,26 +511,23 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     for every such pair and every column c.  Since S^-1 = Sbar^T / D,
     this proves that the candidates equal the formula, and so that the
     formula's rows inside a factor have support inside it.  It is decided
-    exactly in Z/m (see `_verlinde_certified`).  When a split's rows fail
-    the certificate, the candidates of every pair left over decide, as
-    when there is no split.  When S is not unitary, a column has
-    S[0][c] = 0, pairs are left over and S has no charge conjugation, some
-    D S[0][c] is 0 mod p, or the certificate fails, the formula is
-    evaluated exactly instead, which returns the same tensor or raises the
-    witness.
+    exactly in Z/m (see `_verlinde_certified`).  When S is not unitary, a
+    column has S[0][c] = 0, pairs are left over and S has no charge
+    conjugation, some D S[0][c] is 0 mod p, or the certificate fails, the
+    formula is evaluated exactly instead, which returns the same tensor or
+    raises the witness.  On modular data a split costs no such fallback:
+    R2 is modular, so the block is R2 tensor its centralizer, a fusion
+    subcategory (Mueger), and the formula's rows inside each factor stay
+    inside it, so they fail the certificate only where the unsplit
+    candidates would.
     """
     if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
         return _verlinde_exact(md)
     planes = _simple_products(md)
     if any(None in plane for plane in planes):
         duals = _charge_conjugation(md)[0]
-        found = None if duals is None else _factor_rows(md, planes, duals)
-        if found is not None and not _verlinde_certified(md, found[1]):
-            # a wrong split: the candidates of every pair decide, unless
-            # they were the rows that failed
-            rows = None if found[1] is found[0] else _verlinde_candidates(md, planes, duals)
-            found = None if rows is None or not _verlinde_certified(md, rows) else (rows, rows)
-        if found is None:
+        found = None if duals is None else _factor_rows(md, planes, duals, range(md.rank))
+        if found is None or not _verlinde_certified(md, found[1]):
             return _verlinde_exact(md)
         for (x, y), row in found[0].items():
             planes[x][y] = row
@@ -577,9 +574,9 @@ def _simple_products(md: ModularDatum):
     return planes
 
 
-def _factor_rows(md: ModularDatum, planes, duals, block=None):
+def _factor_rows(md: ModularDatum, planes, duals, block):
     """(rows, fresh): rows[x, y] = N[x][y] for every pair y <= x inside
-    block (all objects by default) left open in planes, and fresh, the
+    block, a sorted sequence of objects, left open in planes, and fresh, the
     rows among them from the candidate step, which must be certified (see
     `verlinde_fusion`).  None when the candidate step has no values.
 
@@ -588,11 +585,10 @@ def _factor_rows(md: ModularDatum, planes, duals, block=None):
     and the others as Kronecker products; any other block gets the
     candidates of its own pairs.
     """
-    objs = range(md.rank) if block is None else block
-    split = _centralizer_split(md, planes, objs)
-    table = split and _product_table(planes, objs, *split)
+    split = _centralizer_split(md, planes, block)
+    table = split and _product_table(planes, block, *split)
     if not table:
-        rows = _verlinde_candidates(md, planes, duals) if block is None else _verlinde_candidates(md, planes, duals, block)
+        rows = _verlinde_candidates(md, planes, duals, block)
         return None if rows is None else (rows, rows)
     found = [_factor_rows(md, planes, duals, R) for R in split]
     if None in found:
@@ -613,9 +609,9 @@ def _factor_rows(md: ModularDatum, planes, duals, block=None):
     t1, t2 = map(terms, split)
     where = {z: (i, j) for i, line in enumerate(table) for j, z in enumerate(line)}
     r = md.rank
-    for a, x in enumerate(objs):
+    for a, x in enumerate(block):
         i1, j1 = where[x]
-        for y in objs[: a + 1]:
+        for y in block[: a + 1]:
             if planes[x][y] is None and (x, y) not in rows:
                 i2, j2 = where[y]
                 row = [0] * r
@@ -753,13 +749,13 @@ def _fp_weights(md: ModularDatum):
     return p, A, [[a * v % p for a, v in zip(row, inverses)] for row in A]
 
 
-def _verlinde_candidates(md: ModularDatum, planes, duals, block=None):
-    """{(x, y): N[x][y]} for the pairs y <= x inside block (all objects by
-    default) with planes[x][y] None, from the Verlinde formula in F_p, each
-    value its least nonnegative residue and each value at an object outside
-    block 0; None when S is not integral or some D S[0][c] is 0 mod p.  The
+def _verlinde_candidates(md: ModularDatum, planes, duals, block):
+    """{(x, y): N[x][y]} for the pairs y <= x inside block with
+    planes[x][y] None, from the Verlinde formula in F_p, each value its
+    least nonnegative residue and each value at an object outside block 0;
+    None when S is not integral or some D S[0][c] is 0 mod p.  The
     other planes[x][y] must be the simple products, duals[z] the row of S
-    equal to conj(S[z]), and block a sorted list; a value whose dual
+    equal to conj(S[z]), and block a sorted sequence; a value whose dual
     object lies outside block is read as 0, so a block not closed under
     duals gets rows that the certificate rejects.
 
@@ -792,11 +788,10 @@ def _verlinde_candidates(md: ModularDatum, planes, duals, block=None):
     after `_verlinde_certified`.
     """
     r = md.rank
-    objs = range(r) if block is None else block
     # the position of each object in block, and of every other object the
     # position of the 0 appended to each line below
-    pos = dict.fromkeys(range(r), len(objs)) | {z: i for i, z in enumerate(objs)}
-    left = [(x, y) for i, x in enumerate(objs) for y in objs[: i + 1] if planes[x][y] is None]
+    pos = dict.fromkeys(range(r), len(block)) | {z: i for i, z in enumerate(block)}
+    left = [(x, y) for i, x in enumerate(block) for y in block[: i + 1] if planes[x][y] is None]
     if not left:
         return {}
     fp = _fp_weights(md)
@@ -807,7 +802,7 @@ def _verlinde_candidates(md: ModularDatum, planes, duals, block=None):
     M: dict[tuple[int, int], list[int]] = {}
     for a, b in left:
         pab = [u * v % p for u, v in zip(A[a], A[b])]
-        M[a, b] = [sum(map(operator.mul, pab, W[c])) % p for c in objs[: pos[b] + 1]]
+        M[a, b] = [sum(map(operator.mul, pab, W[c])) % p for c in block[: pos[b] + 1]]
 
     def line(x, y):
         """M at the sorted (x, y, w) for every w in block, given y <= x, and
@@ -816,15 +811,15 @@ def _verlinde_candidates(md: ModularDatum, planes, duals, block=None):
         px = planes[x]
         return (
             M[x, y]
-            + [M[x, w][iy] if px[w] is None else px[w][dy] for w in objs[iy + 1 : pos[x] + 1]]
-            + [M[w, x][iy] if planes[w][x] is None else planes[w][x][dy] for w in objs[pos[x] + 1 :]]
+            + [M[x, w][iy] if px[w] is None else px[w][dy] for w in block[iy + 1 : pos[x] + 1]]
+            + [M[w, x][iy] if planes[w][x] is None else planes[w][x][dy] for w in block[pos[x] + 1 :]]
             + [0]
         )
 
     # N[x][y][z] = M[x][y][z*]; a value at z or z* outside block is the 0
     # at the end of each line
-    take = [len(objs)] * r
-    for z in objs:
+    take = [len(block)] * r
+    for z in block:
         take[z] = pos[duals[z]]
     return {(x, y): tuple(map(line(x, y).__getitem__, take)) for x, y in left}
 

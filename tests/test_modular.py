@@ -8,8 +8,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mdtk import modular
 from mdtk.catalog_cli import builtin, builtin_names
@@ -461,8 +459,8 @@ def test_verlinde_certificate_rejects_a_wrong_candidate(monkeypatch):
     real = modular._verlinde_candidates
     calls = []
 
-    def off_by_one(md, planes, duals):
-        rows = real(md, planes, duals)
+    def off_by_one(md, *args):
+        rows = real(md, *args)
         row = list(rows[3, 3])
         row[0] += 1
         rows[3, 3] = tuple(row)
@@ -572,7 +570,7 @@ def candidate_rows(md, planes=None):
     duals = _charge_conjugation(md)[0]
     if planes is None:
         planes = [[None] * (x + 1) for x in range(md.rank)]
-    return None if duals is None else _verlinde_candidates(md, planes, duals)
+    return None if duals is None else _verlinde_candidates(md, planes, duals, range(md.rank))
 
 
 def complete(rows):
@@ -890,7 +888,7 @@ def test_no_charge_conjugation_means_no_candidate_planes(monkeypatch):
     exact = [fusion_outcome(_verlinde_exact, md) for md in unitary()]
     reports = [str(verify(md)) for md in unitary()]
 
-    def unreachable(md, planes, duals):
+    def unreachable(*args):
         raise AssertionError("the candidate step ran without duals")
 
     # the candidate step is never called, and the outcome is that of the
@@ -988,7 +986,7 @@ def test_no_candidates_for_a_non_integral_s():
     md = ModularDatum(fib.labels, S, fib.T)
     with pytest.raises(NotModularError):
         _verlinde_exact(md)
-    assert _verlinde_candidates(md, [[None], [None, None]], (0, 1)) is None
+    assert _verlinde_candidates(md, [[None], [None, None]], (0, 1), range(2)) is None
 
 
 def test_a_weight_zero_mod_p_falls_back_to_the_exact_formula(monkeypatch):
@@ -1149,28 +1147,25 @@ def test_gauss_sum_is_evaluated_once_per_sign(monkeypatch):
 
 
 def triple_products():
-    """Three-factor products with their tables from the factors' exact
-    tables, in Kronecker order."""
+    """fib x so5 x so5 and so5 x so5 x ising with their tables from the
+    factors' exact tables, in Kronecker order; `kronecker_data` holds an
+    ising x fib x so5."""
     so5_1, so5_2 = so5_level9(1), so5_level9(2)
-    fib, ising_1 = fibonacci(1), ising(1, 1)
     so5_1_N, so5_2_N = _verlinde_exact(so5_1).N, _verlinde_exact(so5_2).N
     return [
-        (deligne_product(deligne_product(fib, so5_1), so5_2), kron_table(kron_table(FIB_TABLE, so5_1_N), so5_2_N)),
-        (deligne_product(deligne_product(ising_1, fib), so5_1), kron_table(kron_table(ISING_TABLE, FIB_TABLE), so5_1_N)),
-        (deligne_product(deligne_product(so5_1, so5_2), ising_1), kron_table(kron_table(so5_1_N, so5_2_N), ISING_TABLE)),
+        (deligne_product(deligne_product(fibonacci(1), so5_1), so5_2), kron_table(kron_table(FIB_TABLE, so5_1_N), so5_2_N)),
+        (deligne_product(deligne_product(so5_1, so5_2), ising(1, 1)), kron_table(kron_table(so5_1_N, so5_2_N), ISING_TABLE)),
     ]
 
 
 def test_factored_verlinde_equals_the_factors_tables():
     names = builtin_names()
     exact = {name: _verlinde_exact(builtin(name)).N for name in names}
-    for name in names:
-        assert verlinde_fusion(builtin(name)).N == exact[name], name
     for i, a in enumerate(names):
         for b in names[i:]:
             md = deligne_product(builtin(a), builtin(b))
             assert verlinde_fusion(md).N == kron_table(exact[a], exact[b]), (a, b)
-    for md, table in triple_products():
+    for md, table in triple_products() + kronecker_data()[1:]:
         assert verlinde_fusion(md).N == table, md.name
 
 
@@ -1181,23 +1176,16 @@ def relabelled(md, perm):
     return ModularDatum([md.labels[p] for p in perm], S, [md.T[p] for p in perm])
 
 
-@pytest.fixture(scope="module")
-def products_to_relabel():
-    so5_1, so5_2 = so5_level9(1), so5_level9(2)
-    return [
-        (deligne_product(so5_1, ising(3, -1)), kron_table(_verlinde_exact(so5_1).N, ISING_TABLE)),
-        (deligne_product(so5_1, so5_2), kron_table(_verlinde_exact(so5_1).N, _verlinde_exact(so5_2).N)),
-        triple_products()[1],
-    ]
-
-
-@settings(derandomize=True, max_examples=15, deadline=None)
-@given(data=st.data())
-def test_factored_verlinde_under_relabelling(products_to_relabel, data):
-    md, table = data.draw(st.sampled_from(products_to_relabel))
-    perm = [0] + data.draw(st.permutations(range(1, md.rank)))
-    want = tuple(tuple(tuple(table[x][y][z] for z in perm) for y in perm) for x in perm)
-    assert verlinde_fusion(relabelled(md, perm)).N == want
+def test_factored_verlinde_under_relabelling():
+    so5_1 = so5_level9(1)
+    # so5 x ising, so5 x so5 and ising x fib x so5
+    products = [(deligne_product(so5_1, ising(3, -1)), kron_table(_verlinde_exact(so5_1).N, ISING_TABLE))]
+    products += kronecker_data()
+    for seed in range(15):
+        md, table = products[seed % len(products)]
+        perm = [0] + random.Random(seed).sample(range(1, md.rank), md.rank - 1)
+        want = tuple(tuple(tuple(table[x][y][z] for z in perm) for y in perm) for x in perm)
+        assert verlinde_fusion(relabelled(md, perm)).N == want, (md.name, seed)
 
 
 def recorded_candidates(monkeypatch):
@@ -1245,7 +1233,7 @@ def test_candidate_step_sees_only_pairs_inside_a_prime_factor(monkeypatch):
     ],
     ids=["ising*so5level9-1-shifted", "ising*pointed-c3-shifted", "ising*pointed-c3-squared"],
 )
-def test_a_wrong_split_falls_back_to_the_candidates(monkeypatch, second, table, proposal):
+def test_a_wrong_split_is_rejected(monkeypatch, second, table, proposal):
     md = deligne_product(ising(1, 1), second())
     want = kron_table(ISING_TABLE, table())
     report = verify(deligne_product(ising(1, 1), second()))
@@ -1268,18 +1256,15 @@ def test_a_wrong_split_falls_back_to_the_candidates(monkeypatch, second, table, 
         g = next(u for u in R1[1:] if sum(map(sum, want[u])) == md.rank)
         return R1, [0] + sorted(want[g][v].index(1) for v in R2[1:])
 
-    calls = recorded_candidates(monkeypatch)
     monkeypatch.setattr(modular, "_centralizer_split", wrong)
     assert verlinde_fusion(md).N == want
     assert verify(md) == report
-    # the candidates of every pair left over decided
-    planes = _simple_products(md)
-    assert calls[-1] == [(x, y) for x, y in all_pairs(md) if planes[x][y] is None]
     # on ising x so5 the shifted R2 has no simple product inside it, so the
     # split passes the product table, its factors are searched, and the
-    # certificate rejects its rows; on ising x pointed-c3, (psi, g) squared
-    # is (1, g^2), outside the shifted R2, and the product table rejects
-    # both splits
+    # certificate rejects its rows, leaving the exact formula; on ising x
+    # pointed-c3, (psi, g) squared is (1, g^2), outside the shifted R2, and
+    # the product table rejects both splits, leaving the candidates of
+    # every pair
     assert blocks[0] == md.rank and len(blocks) == (3 if md.rank == 18 else 1)
 
 
