@@ -248,6 +248,15 @@ def _per_entry(md: ModularDatum, f) -> tuple[tuple, ...]:
     return tuple(tuple(map(images.__getitem__, row)) for row in cells)
 
 
+def _sub_entries(md: ModularDatum, f, rows, cols) -> list[list]:
+    """[[f(S[x][c]) for c in cols] for x in rows], calling f once per
+    distinct value among them."""
+    values, cells = _entries(md)
+    lines = [[cells[x][c] for c in cols] for x in rows]
+    images = {i: f(values[i]) for i in set().union(*lines)}
+    return [list(map(images.__getitem__, line)) for line in lines]
+
+
 @_kept_on_datum
 def _s_conductor(md: ModularDatum) -> int:
     """lcm of the conductors of the stored S entries."""
@@ -419,32 +428,54 @@ def _unitarity_witness(md: ModularDatum) -> str:
     """The first entry of S Sbar^T that differs from D I, as a witness, or
     "" when S Sbar^T = D I holds exactly.
 
-    With A = L S integral, each entry is decided in Z/m (see `ResidueMap`)
-    as sum_k A[i][k] conj(A[j][k]) - L^2 D [i = j] = 0.  By Cauchy-Schwarz
+    A datum with a split tree (see `_split_tree`) is unitary when every
+    leaf is (see `_leaf_unitary` and `verify`); otherwise, or when a leaf
+    fails, the whole matrix is scanned.  With A = L S integral, each entry
+    is decided in Z/m (see `ResidueMap`) as
+    sum_k A[i][k] conj(A[j][k]) - L^2 D [i = j] = 0.  By Cauchy-Schwarz
     sum_k ||A[i][k]||_1 ||A[j][k]||_1 is at most the largest row sum of
     ||A[i][k]||_1^2, which plus ||L^2 D||_1 bounds every entry.  Only the
     failing entry is computed in the field, for the witness.
-
-    The product is Hermitian, so an entry below the diagonal is nonzero
-    exactly when its mirror above the diagonal is: the first failure in
-    row-major order always has j >= i, and only the upper triangle is
-    checked.
     """
-    r = md.rank
+    tree = _split_tree(md)
+    if tree.parts and all(_leaf_unitary(md, node.block) for node in _nodes(tree) if not node.parts):
+        return ""
     S = md.S
-    D = global_dim(md)
     L = _integral_s(md)[0]
     ring, a, abar = _unitarity_images(md)
-    m = ring.modulus
-    d = ring(D, L * L)
-    for i in range(r):
-        for j in range(i, r):
-            if (sum(map(operator.mul, a[i], abar[j])) - (d if i == j else 0)) % m:
-                acc = rational(0)
-                for k in range(r):
-                    acc = acc + S[i][k] * S[j][k].conj()
-                return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
-    return ""
+    miss = _gram_miss(a, abar, ring(global_dim(md), L * L), ring.modulus)
+    if miss is None:
+        return ""
+    i, j = miss
+    acc = rational(0)
+    for k in range(md.rank):
+        acc = acc + S[i][k] * S[j][k].conj()
+    return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
+
+
+def _gram_miss(a, abar, d, m):
+    """The first (i, j) in row-major order with
+    sum_k a[i][k] abar[j][k] - d [i = j] nonzero mod m, or None.  The
+    product is Hermitian, so the first failure always has j >= i, and only
+    the upper triangle is checked."""
+    for i, ai in enumerate(a):
+        for j in range(i, len(a)):
+            if (sum(map(operator.mul, ai, abar[j])) - (d if i == j else 0)) % m:
+                return i, j
+    return None
+
+
+def _leaf_unitary(md: ModularDatum, block) -> bool:
+    """Whether sum_{k in B} S[i][k] conj(S[j][k]) = D_B [i = j] for every
+    i, j in the block B, with D_B the sum of dim(k)^2 over B.  With A = L S,
+    by Cauchy-Schwarz the largest row sum of ||A[i][k]||_1^2 over B bounds
+    every |sigma| of sum_k A[i][k] conj(A[j][k]) and of L^2 D_B =
+    sum_k A[0][k]^2, so twice it bounds each relation."""
+    L, N, norms = _integral_s(md)
+    ring = ResidueMap(N, 2 * max(sum(norms[i][k] ** 2 for k in block) for i in block))
+    a = _sub_entries(md, lambda e: ring(e, L), block, block)
+    abar = _sub_entries(md, lambda e: ring(e, L, -1), block, block)
+    return _gram_miss(a, abar, sum(v * v for v in a[0]), ring.modulus) is None
 
 
 @_kept_on_datum
@@ -469,28 +500,40 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     so every simple product satisfies these equations.  Each difference
     A[x][c] A[y][c] - A[0][c] A[z][c] has every |sigma| at most 2 top^2,
     with top the largest ||A[x][y]||_1, and the pair ring decides it (see
-    `_pair_ring` and `ResidueMap`).  Each z is keyed by the
-    residues of A[0][c] A[z][c] over all c; a pair is looked up only when
-    its c = 0 residue is that of some z (see `_simple_products`).  Every
-    (x, 0) pair matches, and on pointed data every pair does.
+    `_pair_ring` and `ResidueMap`).  This is the match (see `_match`).
 
-    Most pairs left over in a Deligne product need no formula: its fusion
-    rules are the Kronecker product of its factors' rules.  So the objects
-    are split first, when they can be, into R1 and R2 such that
-    (u, v) -> u tensor v is a bijection from R1 x R2 onto the simples and
-    every such product is simple by the match (see `_factor_rows`).  Only
-    the pairs inside R1 and inside R2 need values, and each factor is
-    split again the same way.  Every other pair is filled by
+    The objects are split first, from S alone, into a tree of tensor
+    factors (see `_split_tree`).  At each split of a block B into R1 and
+    R2, `_product_table` has checked that every u in R1 centralizes every
+    v in R2, S[u][v] = dim(u) dim(v), and that the u v = u tensor v are
+    simple by the match in the columns of B and are B's objects, each
+    once.  Then, for u, u' in R1 and v, v' in R2,
 
-        N[u1 v1][u2 v2][p q] = N[u1][u2][p] N[v1][v2][q],
+        S[u v][u' v'] = S[u][u'] S[v][v'].                          (K)
 
-    writing u v for u tensor v.  This needs no further check.  Let
+    Proof: the match at the unit column gives dim(u v) = dim(u) dim(v).
+    S is symmetric and v' centralizes u, so the match of u' v' at column u
+    gives S[u][u' v'] = S[u'][u] S[v'][u] / dim(u) = S[u][u'] dim(v'), and
+    likewise S[v][u' v'] = dim(u') S[v][v']; the match of u v at column
+    u' v' divides their product by dim(u') dim(v').  With v = v' the unit,
+    (K) reads S[u][c1 c2] = S[u][c1] dim(c1 c2) / dim(c1); so, by
+    induction from the root, for each block B of the tree every column c
+    has a column b(c) in B with S[x][c] = S[x][b(c)] dim(c) / dim(b(c))
+    for every x in B.  An equation in objects of B whose sides are sums of
+    products of two S entries of one column, such as the match and the
+    certificate below, holds at c once it holds at b(c): it is that
+    equation times (dim(c) / dim(b(c)))^2.  So a block's matches and
+    certificates are decided in the block's columns only.
+
+    Only the pairs inside the leaves need values.  Every other pair is
+    filled by N[u1 v1][u2 v2][p q] = N[u1][u2][p] N[v1][v2][q], which
+    needs no further check.  Let
     l_x(c) = S[x][c] / S[0][c].  By the formula,
     sum_z N[x][y][z] l_z = l_x l_y, and the l_x are linearly independent,
     since S is unitary, which is decided first; so N[x][y] is the unique
     decomposition of l_x l_y.  Every row inside R1 is known with support
-    inside R1: a simple product inside R1 is checked to lie in R1 (see
-    `_product_table`), a candidate row is 0 outside R1 and certified
+    inside R1: a simple product of a leaf is matched only against the
+    leaf's objects, a candidate row is 0 outside its leaf and certified
     below, and a Kronecker row of a split of R1 holds by this same
     argument.  So l_u1 l_u2 = sum_{p in R1} N[u1][u2][p] l_p, and the same
     holds for R2.  A simple product u v = w gives l_u l_v = l_w, as shown
@@ -499,38 +542,30 @@ def verlinde_fusion(md: ModularDatum) -> FusionTensor:
     N[v1][v2][q] l_{p q}, and the p q are distinct objects: this is the
     decomposition, and the Kronecker row is N[x][y].
 
-    The pairs inside a factor with no split get candidate values from the
-    formula in F_p for a prime p = 1 mod N, one value per sorted triple
-    they need, with the duals C read off the charge conjugation
+    The pairs of a leaf left over by the match get candidate values from
+    the formula in F_p for a prime p = 1 mod N, one value per sorted
+    triple they need, with the duals C read off the charge conjugation
     conj(S[z]) = S[C(z)] (see `_verlinde_candidates`); an object outside
-    the factor gets 0.  The candidates are accepted only after an exact
+    the leaf gets 0.  The candidates are accepted only after an exact
     certificate:
 
         S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c]
 
-    for every such pair and every column c.  Since S^-1 = Sbar^T / D,
-    this proves that the candidates equal the formula, and so that the
-    formula's rows inside a factor have support inside it.  It is decided
-    exactly in Z/m (see `_verlinde_certified`).  When S is not unitary, a
-    column has S[0][c] = 0, pairs are left over and S has no charge
-    conjugation, some D S[0][c] is 0 mod p, or the certificate fails, the
-    formula is evaluated exactly instead, which returns the same tensor or
-    raises the witness.  On modular data a split costs no such fallback:
-    R2 is modular, so the block is R2 tensor its centralizer, a fusion
-    subcategory (Mueger), and the formula's rows inside each factor stay
-    inside it, so they fail the certificate only where the unsplit
-    candidates would.
+    for every such pair and every column c of the leaf, and so, as shown
+    above, of the datum.  Since S^-1 = Sbar^T / D, this proves that the
+    candidates equal the formula.  It is decided exactly in Z/m (see
+    `_verlinde_certified`).  When S is not unitary, a column has
+    S[0][c] = 0, pairs are left over and S has no charge conjugation, some
+    D S[0][c] is 0 mod p, or the certificate fails, the formula is
+    evaluated exactly instead, which returns the same tensor or raises the
+    witness.
     """
     if any(e.is_zero() for e in md.S[0]) or _unitarity_witness(md):
         return _verlinde_exact(md)
-    planes = _simple_products(md)
-    if any(None in plane for plane in planes):
-        duals = _charge_conjugation(md)[0]
-        found = None if duals is None else _factor_rows(md, planes, duals, range(md.rank))
-        if found is None or not _verlinde_certified(md, found[1]):
-            return _verlinde_exact(md)
-        for (x, y), row in found[0].items():
-            planes[x][y] = row
+    r = md.rank
+    planes = [[None] * (x + 1) for x in range(r)]
+    if not _fill(md, _split_tree(md), planes, _unit_rows(r)):
+        return _verlinde_exact(md)
     return _fusion_from_planes(md, planes)
 
 
@@ -538,63 +573,34 @@ def _fusion_from_planes(md: ModularDatum, planes) -> FusionTensor:
     """The tensor with N[x][y] = planes[x][y] for y <= x, completed by
     commutativity."""
     r = md.rank
-    full = tuple(
-        tuple(planes[max(x, y)][min(x, y)] for y in range(r)) for x in range(r)
-    )
+    full = tuple((*planes[x], *(planes[y][x] for y in range(x + 1, r))) for x in range(r))
     return FusionTensor(md.labels, full)
 
 
-def _simple_products(md: ModularDatum):
-    """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
-    decided in the pair ring, else None.  S must be unitary with no
-    S[0][c] zero (see `verlinde_fusion`).
-
-    The key of z is the residues of A[0][c] A[z][c] over all c.  A pair
-    forms its r products only when A[x][0] A[y][0] is the c = 0 residue of
-    some key, so a datum with few simple products pays about r^2 / 2
-    products for the match, not r^3 / 2.
-    """
-    r = md.rank
-    ring, residues = _pair_ring(md)
-    a = tuple(tuple(map(residues.__getitem__, row)) for row in _entries(md)[1])
-    m = ring.modulus
-    mod = repeat(m)
-    keys = {tuple(map(operator.mod, map(operator.mul, a[0], az), mod)): z for z, az in enumerate(a)}
-    firsts = {key[0] for key in keys}
-    units = [tuple(int(w == z) for w in range(r)) for z in range(r)]
-    planes = []
-    for x, ax in enumerate(a):
-        plane = []
-        for ay in a[: x + 1]:
-            z = None
-            if ax[0] * ay[0] % m in firsts:
-                z = keys.get(tuple(map(operator.mod, map(operator.mul, ax, ay), mod)))
-            plane.append(None if z is None else units[z])
-        planes.append(plane)
-    return planes
+def _unit_rows(r: int) -> list[tuple[int, ...]]:
+    """The unit vectors of length r, shared by every simple product."""
+    zeros = (0,) * r
+    return [zeros[:z] + (1,) + zeros[z + 1 :] for z in range(r)]
 
 
-def _factor_rows(md: ModularDatum, planes, duals, block):
-    """(rows, fresh): rows[x, y] = N[x][y] for every pair y <= x inside
-    block, a sorted sequence of objects, left open in planes, and fresh, the
-    rows among them from the candidate step, which must be certified (see
-    `verlinde_fusion`).  None when the candidate step has no values.
-
-    A block that `_centralizer_split` splits, with a product table from
-    `_product_table`, gets the rows inside each factor from this function
-    and the others as Kronecker products; any other block gets the
-    candidates of its own pairs.
-    """
-    split = _centralizer_split(md, planes, block)
-    table = split and _product_table(planes, block, *split)
-    if not table:
-        rows = _verlinde_candidates(md, planes, duals, block)
-        return None if rows is None else (rows, rows)
-    found = [_factor_rows(md, planes, duals, R) for R in split]
-    if None in found:
-        return None
-    rows = {**found[0][0], **found[1][0]}
-    fresh = {**found[0][1], **found[1][1]}
+def _fill(md: ModularDatum, node, planes, units) -> bool:
+    """Set planes[x][y] = N[x][y] for every pair y <= x in the block of a
+    split tree node; False when a leaf's candidate step has no values or
+    its certificate fails (see `verlinde_fusion`).  A cross row whose two
+    factor rows are unit vectors is the shared unit row."""
+    block = node.block
+    if not node.parts:
+        if _match(md, planes, block, units):
+            return True
+        duals = _charge_conjugation(md)[0]
+        rows = None if duals is None else _verlinde_candidates(md, planes, duals, block)
+        if rows is None or not _verlinde_certified(md, rows, block):
+            return False
+        for (x, y), row in rows.items():
+            planes[x][y] = row
+        return True
+    if not all(_fill(md, part, planes, units) for part in node.parts):
+        return False
 
     def terms(R):
         """(position in R, multiplicity) for the support of N[x][y], at the
@@ -602,101 +608,164 @@ def _factor_rows(md: ModularDatum, planes, duals, block):
         out = {}
         for i, x in enumerate(R):
             for j, y in enumerate(R[: i + 1]):
-                row = planes[x][y] or rows[x, y]
+                row = planes[x][y]
                 out[i, j] = out[j, i] = [(k, row[z]) for k, z in enumerate(R) if row[z]]
         return out
 
-    t1, t2 = map(terms, split)
+    t1, t2 = (terms(part.block) for part in node.parts)
+    table = node.table
     where = {z: (i, j) for i, line in enumerate(table) for j, z in enumerate(line)}
     r = md.rank
     for a, x in enumerate(block):
         i1, j1 = where[x]
+        px = planes[x]
         for y in block[: a + 1]:
-            if planes[x][y] is None and (x, y) not in rows:
+            if px[y] is None:
                 i2, j2 = where[y]
+                p, q = t1[i1, i2], t2[j1, j2]
+                if len(p) == len(q) == 1 and p[0][1] == q[0][1] == 1:
+                    px[y] = units[table[p[0][0]][q[0][0]]]
+                    continue
                 row = [0] * r
-                for i, n in t1[i1, i2]:
+                for i, n in p:
                     line = table[i]
-                    for j, k in t2[j1, j2]:
+                    for j, k in q:
                         row[line[j]] = n * k
-                rows[x, y] = tuple(row)
-    return rows, fresh
+                px[y] = tuple(row)
+    return True
 
 
-def _centralizer_split(md: ModularDatum, planes, block):
-    """A proposed split (R1, R2) of block into two factors of more than one
-    object each, or None, as always when block has fewer than 4 objects or
-    a prime number of them.
-    Nothing is assumed of it: `_product_table` checks it, and the
-    certificate checks the rows inside it.
+def _pair_rows(md: ModularDatum, block):
+    """The modulus of the pair ring and {x: the residues of A[x][c] for c
+    in block} for every x in block (see `_pair_ring`)."""
+    ring, residues = _pair_ring(md)
+    cells = _entries(md)[1]
+    return ring.modulus, {
+        x: list(map(residues.__getitem__, map(cells[x].__getitem__, block))) for x in block
+    }
+
+
+def _match(md: ModularDatum, planes, block, units) -> bool:
+    """Set planes[x][y] = units[z] for the pairs y <= x in block whose
+    product is an object z of block by the match in the columns of block
+    (see `verlinde_fusion`); True when every pair matched.  The key of z is
+    the residues of A[0][c] A[z][c]; a pair forms its products only when
+    A[x][0] A[y][0] is the unit-column residue of some key."""
+    m, a = _pair_rows(md, block)
+    mod = repeat(m)
+    keys = {tuple(map(operator.mod, map(operator.mul, a[0], a[z]), mod)): z for z in block}
+    firsts = {key[0] for key in keys}
+    every = True
+    for i, x in enumerate(block):
+        ax, px = a[x], planes[x]
+        for y in block[: i + 1]:
+            ay = a[y]
+            z = None
+            if ax[0] * ay[0] % m in firsts:
+                z = keys.get(tuple(map(operator.mod, map(operator.mul, ax, ay), mod)))
+            if z is None:
+                every = False
+            else:
+                px[y] = units[z]
+    return every
+
+
+def _simple_products(md: ModularDatum):
+    """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
+    decided by the match over the whole datum, else None.  S must be
+    unitary with no S[0][c] zero (see `verlinde_fusion`)."""
+    r = md.rank
+    planes = [[None] * (x + 1) for x in range(r)]
+    _match(md, planes, range(r), _unit_rows(r))
+    return planes
+
+
+# a node of a split tree: a sorted block of objects, and either no parts
+# (a leaf) or the nodes of R1 and R2 with table[i][j] = R1[i] tensor R2[j]
+_Split = namedtuple("_Split", "block parts table")
+
+
+def _nodes(tree: _Split):
+    """The nodes of a split tree, each before its parts."""
+    yield tree
+    for part in tree.parts:
+        yield from _nodes(part)
+
+
+@_kept_on_datum
+def _split_tree(md: ModularDatum) -> _Split:
+    """The objects split into tensor factors from S alone, in the pair
+    ring: each block that `_centralizer_split` splits and `_product_table`
+    checks is split again, and the others are leaves.  A datum with some
+    S[0][c] zero is one leaf, since the match then decides nothing (see
+    `verlinde_fusion`)."""
+    def split(block):
+        found = _centralizer_split(md, block)
+        table = found and _product_table(md, block, *found)
+        if not table:
+            return _Split(block, (), None)
+        return _Split(block, tuple(map(split, found)), table)
+
+    if any(e.is_zero() for e in md.S[0]):
+        return _Split(range(md.rank), (), None)
+    return split(range(md.rank))
+
+
+def _centralizer_split(md: ModularDatum, block):
+    """A proposed split (R1, R2) of block into two sorted lists of more
+    than one object, with |R1| |R2| = |block| and only the unit in both, or
+    None, as always when block has fewer than 4 objects or a prime number
+    of them.  Nothing is assumed of it: `_product_table` checks it.
 
     The centralizer of a set U in block is the y in block with
-    S[u][y] S[0][0] = S[u][0] S[0][y] for every u in U.  R2 is the
-    centralizer of one object x, and R1 the centralizer of R2.  For a
-    modular datum, when R2 meets its own centralizer only in the unit, R2
-    is a modular subcategory and the block is R1 tensor R2 (Mueger, Proc.
-    London Math. Soc. 87 (2003)).  In a product, an object of one factor
-    has the most simple partners, so x is taken among the objects that
-    are not invertible and have the most simple partners in block.  Their
-    centralizers with more than one object are tried from the smallest:
-    the first that meets its own centralizer only in the unit is R2.
-    Smaller ones can fail, such as the rank 3 subcategory of so5level9,
-    which centralizes itself, tensor the unit of pointed-c9, the
-    centralizer of (a, g) in so5level9 tensor pointed-c9 for g of order 9.
-    Each equation is decided in the pair ring (see `_pair_ring`).
+    S[u][y] S[0][0] = S[u][0] S[0][y] for every u in U, decided in the pair
+    ring.  R2 is the centralizer of one object, and R1 the centralizer of
+    R2.  For a modular datum, when R2 meets R1 only in the unit, R2 is a
+    modular subcategory and the block is R1 tensor R2 (Mueger, Proc.
+    London Math. Soc. 87 (2003)).  Single-object centralizers are tried
+    from the smallest, sizes first: twelve 4-object ones in so5level9-1
+    tensor so5level9-2 meet their own centralizer only in the unit, but
+    give an R1 of 4 objects.
     """
     n = len(block)
     if n < 4 or _is_prime(n):
         return None
-    partners = dict.fromkeys(block, 0)
-    for i, x in enumerate(block):
-        px = planes[x]
-        for y in block[: i + 1]:
-            if px[y] is not None:
-                partners[x] += 1
-                partners[y] += y != x
-    # a split gives each object u of R1 the simple partners u tensor w, w in
-    # R2, so some object that is not invertible has at least 2
-    top = max((k for k in partners.values() if k < n), default=0)
-    if top < 2:
-        return None
-    ring, residues = _pair_ring(md)
-    m = ring.modulus
-    cells = _entries(md)[1]
-    c0, a00 = cells[0], residues[cells[0][0]]
-
-    def centralizer(us, among=block):
-        return [
-            y for y in among
-            if all((residues[cells[u][y]] * a00 - residues[cells[u][0]] * residues[c0[y]]) % m == 0 for u in us)
-        ]
-
-    tried = {tuple(centralizer((x,))) for x in block if partners[x] == top}
-    for R2 in sorted(tried, key=lambda R: (len(R), R)):
-        if len(R2) > 1 and len(centralizer(R2, R2)) == 1:
-            R1 = centralizer(R2)
-            return (R1, list(R2)) if len(R1) > 1 else None
+    m, a = _pair_rows(md, block)
+    d = a[0]
+    one = d[0]
+    # the positions in block of the objects that centralize each object
+    central = [
+        frozenset(j for j, (v, e) in enumerate(zip(ax, d)) if (v * one - ax[0] * e) % m == 0)
+        for ax in a.values()
+    ]
+    for R2 in sorted(set(central), key=lambda R: (len(R), sorted(R))):
+        if 1 < len(R2) < n and n % len(R2) == 0:
+            R1 = frozenset.intersection(*(central[j] for j in R2))
+            if len(R1) * len(R2) == n and len(R1 & R2) == 1:
+                return [block[i] for i in sorted(R1)], [block[j] for j in sorted(R2)]
     return None
 
 
-def _product_table(planes, block, R1, R2):
-    """table[i][j] = the object R1[i] tensor R2[j], when every such product
-    is simple by the match and they are the objects of block, each once,
-    and when the simple products of R1 and of R2 lie inside them; else
-    None.  The rows that are not simple products need no such check: the
-    candidates inside a factor are 0 outside it, and certified."""
-    def simple(x, y):
-        row = planes[max(x, y)][min(x, y)]
-        return None if row is None else row.index(1)
-
-    table = [[simple(u, v) for v in R2] for u in R1]
+def _product_table(md: ModularDatum, block, R1, R2):
+    """table[i][j] = the object R1[i] tensor R2[j], when every object of
+    R1 centralizes every object of R2, every such product is simple by the
+    match in the columns of block, and the products are the objects of
+    block, each once; else None.  Decided in the pair ring; these are the
+    facts that (K) of `verlinde_fusion` rests on."""
+    m, a = _pair_rows(md, block)
+    pos = {z: k for k, z in enumerate(block)}
+    d = a[0]
+    one = d[0]
+    if any((a[u][pos[v]] * one - a[u][0] * d[pos[v]]) % m for u in R1 for v in R2):
+        return None
+    mod = repeat(m)
+    keys = {tuple(map(operator.mod, map(operator.mul, d, a[z]), mod)): z for z in block}
+    table = [
+        [keys.get(tuple(map(operator.mod, map(operator.mul, a[u], a[v]), mod))) for v in R2]
+        for u in R1
+    ]
     if any(None in line for line in table) or sorted(z for line in table for z in line) != list(block):
         return None
-    for R in (R1, R2):
-        inside = set(R)
-        for i, x in enumerate(R):
-            if any(simple(x, y) not in inside for y in R[: i + 1] if planes[x][y] is not None):
-                return None
     return table
 
 
@@ -824,28 +893,30 @@ def _verlinde_candidates(md: ModularDatum, planes, duals, block):
     return {(x, y): tuple(map(line(x, y).__getitem__, take)) for x, y in left}
 
 
-def _verlinde_certified(md: ModularDatum, rows) -> bool:
+def _verlinde_certified(md: ModularDatum, rows, columns) -> bool:
     """Whether S[0][c] * sum_z N[x][y][z] S[z][c] == S[x][c] S[y][c] holds
-    exactly for every (x, y): N[x][y] in rows and every column c.
+    exactly for every (x, y): N[x][y] in rows and every c in columns.  For
+    the rows of a leaf of the split tree, the leaf's columns decide every
+    column (see `verlinde_fusion`); any other rows need every column.
 
     With A = L S integral, each equation is decided in Z/m (see
     `ResidueMap`) as sum_z N[x][y][z] A[0][c] A[z][c] - A[x][c] A[y][c] = 0.
     Its bound is the largest row sum in rows times max ||A[0][c]||_1 times
-    max ||A[z][c]||_1, plus max ||A[x][c]||_1^2.
+    max ||A[z][c]||_1, plus max ||A[x][c]||_1^2, over c in columns.
     """
     r = md.rank
     L, N, norms = _integral_s(md)
-    top = max(map(max, norms))
+    top = max(norms[z][c] for z in range(r) for c in columns)
     fused = max(map(sum, rows.values()), default=0)
-    ring = ResidueMap(N, fused * max(norms[0]) * top + top * top)
+    ring = ResidueMap(N, fused * max(norms[0][c] for c in columns) * top + top * top)
     m = ring.modulus
-    a = _per_entry(md, lambda e: ring(e, L))
+    a = _sub_entries(md, lambda e: ring(e, L), range(r), columns)
     # A[z][c] is the image of A[0][c] A[z][c]; all columns go at once
-    A = [[a[0][c] * a[z][c] % m for c in range(r)] for z in range(r)]
+    A = [[u * v % m for u, v in zip(a[0], az)] for az in a]
     mod = repeat(m)
     for (x, y), row in rows.items():
         terms = [A[z] if k == 1 else [k * v for v in A[z]] for z, k in enumerate(row) if k]
-        lhs = map(sum, zip(*terms)) if terms else repeat(0, r)
+        lhs = map(sum, zip(*terms)) if terms else repeat(0, len(columns))
         diff = map(operator.sub, lhs, map(operator.mul, a[x], a[y]))
         if any(map(operator.mod, diff, mod)):
             return False
@@ -893,47 +964,72 @@ def _verlinde_exact(md: ModularDatum) -> FusionTensor:
 # verification
 
 
-def _balancing_witness(md: ModularDatum, N) -> str:
-    """The first (x, y), y >= x, at which the balancing relation
+def _balancing_witness(md: ModularDatum, N, block) -> str:
+    """The first (x, y) of block, y >= x, at which the balancing relation
 
         theta_x theta_y S[x][y] = sum_z N[x][y][z] dim(z) theta_z
 
-    fails, as a witness, or "" when it holds everywhere; theta is the
-    inverse of T.  This is the trace of the ribbon axiom on x tensor y;
+    fails, as a witness, or "" when it holds on every pair of block;
+    theta is the inverse of T, and every row N[x][y] must have its support
+    inside block.  This is the trace of the ribbon axiom on x tensor y;
     stating it with the dual of x on the right requires S[x*][y] on the
     left, so the undualized form is the one that holds for every datum.
 
     With A = L S integral, each relation is decided in Z/m (see
-    `ResidueMap`) at the lcm of the S conductors and the T orders.
-    A twist has norm 1, so max ||A[x][y]||_1 plus the largest fusion row
-    sum times max ||A[0][z]||_1 bounds every relation.
+    `ResidueMap`) at the lcm of the S conductors and the T orders in
+    block.  A twist has norm 1, so max ||A[x][y]||_1 plus the largest
+    fusion row sum times max ||A[0][z]||_1, over block, bounds every
+    relation.
 
     Each sum runs over the support of N[x][y] only.  A mirrored pair shares
     its row object, and so does every simple product with one result, so
     each distinct row object is scanned once for its support.
     """
-    r = md.rank
+    n = len(block)
     L, n_s, norms = _integral_s(md)
+    # (position in block, multiplicity) over the support of each row
     terms = {}
-    for plane in N:
-        for row in plane:
+    for i, x in enumerate(block):
+        Nx = N[x]
+        for y in block[i:]:
+            row = Nx[y]
             if id(row) not in terms:
-                terms[id(row)] = [(z, row[z]) for z in compress(range(r), row)]
+                terms[id(row)] = [(k, row[block[k]]) for k in compress(range(n), map(row.__getitem__, block))]
     fused = max(sum(k for _, k in t) for t in terms.values())
     ring = ResidueMap(
-        math.lcm(n_s, *(t.order for t in md.T)),
-        max(map(max, norms)) + fused * max(norms[0]),
+        math.lcm(n_s, *(md.T[x].order for x in block)),
+        max(norms[x][y] for x in block for y in block) + fused * max(norms[0][z] for z in block),
     )
     m = ring.modulus
-    theta = [ring.root(t.inverse()) for t in md.T]
-    a = _per_entry(md, lambda e: ring(e, L))
+    theta = [ring.root(md.T[x].inverse()) for x in block]
+    a = _sub_entries(md, lambda e: ring(e, L), block, block)
     dim_theta = [d * t % m for d, t in zip(a[0], theta)]
-    for x, Nx in enumerate(N):
-        for y in range(x, r):
-            rhs = sum(k * dim_theta[z] for z, k in terms[id(Nx[y])])
-            if (theta[x] * theta[y] * a[x][y] - rhs) % m:
-                return f"balancing fails at ({md.labels[x]}, {md.labels[y]})"
+    for i, x in enumerate(block):
+        Nx, ax, tx = N[x], a[i], theta[i]
+        for j in range(i, n):
+            rhs = sum(k * dim_theta[z] for z, k in terms[id(Nx[block[j]])])
+            if (tx * theta[j] * ax[j] - rhs) % m:
+                return f"balancing fails at ({md.labels[x]}, {md.labels[block[j]]})"
     return ""
+
+
+def _factors_balanced(md: ModularDatum) -> bool:
+    """Whether the split tree proves the balancing relation for the tensor
+    of `verlinde_fusion`, which must exist, on a unitary S: T[u v] =
+    T[u] T[v] at every split, and the relation holds on the pairs inside
+    every leaf (see `verify`)."""
+    tree = _split_tree(md)
+    if not tree.parts:
+        return False
+    N, T = verlinde_fusion(md).N, md.T
+    for node in _nodes(tree):
+        if node.parts:
+            R1, R2 = (part.block for part in node.parts)
+            if any(T[z] != T[u] * T[v] for u, line in zip(R1, node.table) for v, z in zip(R2, line)):
+                return False
+        elif _balancing_witness(md, N, node.block):
+            return False
+    return True
 
 
 def verify(md: ModularDatum) -> VerificationReport:
@@ -955,6 +1051,26 @@ def verify(md: ModularDatum) -> VerificationReport:
     and a bound on each relation taken through its factors; `ResidueMap`
     proves that this is exact.  The first failing index is reported.  The
     Verlinde candidates are computed in F_p, so no check uses a float.
+
+    On data with a split tree (see `_split_tree`), unitarity and balancing
+    are decided inside its leaves first.  At a split of a block B into R1
+    and R2, (K) of `verlinde_fusion` gives, for x = u v and x' = u' v',
+
+        sum_{c in B} S[x][c] conj(S[x'][c]) = G1[u][u'] G2[v][v'],
+
+    with G_i the same sum over the columns of R_i, and D_B = D_R1 D_R2 for
+    D_B the sum of dim(c)^2 over B, since dimensions multiply.  So
+    G_i = D_Ri I on both factors gives the relation on B, and, by
+    induction, S Sbar^T = D I at the root.  On a unitary S, (K) at u = u'
+    the unit makes G2 a multiple of I, so the formula's rows at pairs
+    inside R1, which by (K) are the formula over R1 times G2[0] / D_R2,
+    lie inside R1; the tensor is then the Kronecker product of its rows
+    inside the factors (see `verlinde_fusion`).  With T[u v] = T[u] T[v],
+    checked exactly at every split, both sides of the balancing relation
+    at (u v, u' v') are the products of the two sides at (u, u') and at
+    (v, v'), so balancing inside every leaf gives balancing everywhere.
+    When a leaf or a T product fails, or S has no split, the whole datum
+    is scanned, which gives the verdict and the first witness.
     """
     checks: list[Check] = []
     labels = md.labels
@@ -1004,7 +1120,7 @@ def verify(md: ModularDatum) -> VerificationReport:
     )
 
     if ft is not None:
-        bal_bad = _balancing_witness(md, ft.N)
+        bal_bad = "" if not unitary_bad and _factors_balanced(md) else _balancing_witness(md, ft.N, range(md.rank))
         checks.append(Check("balancing", not bal_bad, bal_bad))
     else:
         checks.append(Check("balancing", False, "fusion rules unavailable"))

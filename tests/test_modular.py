@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -448,7 +449,7 @@ def test_certified_verlinde_matches_exact_formula():
     ]
     for md, pinned in cases:
         # the certified path is the one taken, not the fallback
-        assert _verlinde_certified(md, candidate_rows(md)), md.name
+        assert _verlinde_certified(md, candidate_rows(md), range(md.rank)), md.name
         N = verlinde_fusion(md).N
         assert N == _verlinde_exact(md).N, md.name
         if pinned is not None:
@@ -627,7 +628,7 @@ def test_verify_decisions_match_field_references():
                 exact = _verlinde_exact(md).N
             except NotModularError:
                 exact = None
-            assert _verlinde_certified(md, rows) == (exact == complete(rows)), md.name
+            assert _verlinde_certified(md, rows, range(md.rank)) == (exact == complete(rows)), md.name
             certified += 1
         try:
             N = verlinde_fusion(md).N
@@ -666,21 +667,21 @@ def test_planted_errors_are_caught(md):
         assert not verify(bad).ok
     # one rounded fusion multiplicity raised by 1
     rows = candidate_rows(md)
-    assert _verlinde_certified(md, rows)
+    assert _verlinde_certified(md, rows, range(r))
     for _ in range(3):
         x, z = rng.randrange(r), rng.randrange(r)
         y = rng.randrange(x + 1)
         raised = dict(rows)
         raised[x, y] = tuple(k + (i == z) for i, k in enumerate(raised[x, y]))
-        assert not _verlinde_certified(md, raised)
+        assert not _verlinde_certified(md, raised, range(r))
         # a zero row sums no term, and must still be checked in every column
         zeroed = dict(rows)
         zeroed[x, y] = (0,) * r
-        assert not _verlinde_certified(md, zeroed)
+        assert not _verlinde_certified(md, zeroed, range(r))
         N = complete(raised)
         want = reference_balancing(md, N)
         assert want == f"balancing fails at ({md.labels[y]}, {md.labels[x]})"
-        assert _balancing_witness(md, N) == want
+        assert _balancing_witness(md, N, range(r)) == want
 
 
 def test_verify_makes_few_field_products(monkeypatch):
@@ -747,58 +748,91 @@ def test_a_value_stored_at_two_conductors_gets_two_indices():
 
 def test_residue_bounds_cover_every_relation(monkeypatch):
     # each ring must be chosen for a bound at least the factor bound
-    # sum ||a||_1 ||b||_1 + ||c||_1 of every relation it decides
+    # sum ||a||_1 ||b||_1 + ||c||_1 of every relation it decides; a ring is
+    # told by the function that makes it and the block or columns it serves
     made = []
 
     class Recorded(modular.ResidueMap):
         __slots__ = ()
 
         def __init__(self, conductor, bound):
-            made.append(bound)
+            caller = sys._getframe(1)
+            block = caller.f_locals.get("block", caller.f_locals.get("columns"))
+            made.append((caller.f_code.co_name, None if block is None else list(block), bound))
             super().__init__(conductor, bound)
 
     monkeypatch.setattr(modular, "ResidueMap", Recorded)
-    rings = set()
-    for md in (*planted_data(), deligne_product(ising(3, -1), fibonacci(2)), so5_level9(4)):
-        made.clear()
-        assert verify(md).ok
-        r, S = md.rank, md.S
-        L = math.lcm(*(e.den for row in S for e in row))
-        A = [[sum(map(abs, e.num)) * L // e.den for e in row] for row in S]
-        D = global_dim(md)
-        unitarity = max(
-            sum(A[i][k] * A[j][k] for k in range(r))
-            + (sum(map(abs, D.num)) * L * L // D.den if i == j else 0)
-            for i in range(r) for j in range(r)
-        )
-        N = verlinde_fusion(md).N
-        # the certificate decides only the pairs whose product is not simple
-        left = [(x, y) for x in range(r) for y in range(r) if sum(N[x][y]) > 1]
-        verlinde = max(
-            (sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
-             for x, y in left for c in range(r)),
-            default=0,
-        )
-        balancing = max(
-            A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
-            for x in range(r) for y in range(r)
-        )
-        # the unitarity ring also matches entries of L S and L conj(S); the
-        # pair ring matches A[x][c] A[y][c] against A[0][c] A[z][c] for
-        # every x, y, z and c
-        charge = 2 * max(map(max, A))
-        match = max(A[x][c] * A[y][c] for x in range(r) for y in range(r) for c in range(r))
-        match += max(A[0][c] * A[z][c] for z in range(r) for c in range(r))
-        # no certificate ring when every product is simple
-        assert len(made) == 3 + bool(left), md.name
-        assert made[0] >= max(unitarity, charge), md.name
-        assert made[1] >= match, md.name
-        assert made[-1] >= balancing, md.name
-        if left:
-            assert made[2] >= verlinde, md.name
-        rings.add(len(made))
-    # pointed-c27 has only simple products, the others do not
+    data = (*planted_data(), deligne_product(ising(3, -1), fibonacci(2)), so5_level9(4))
+    rings, leaves = set(), 0
+    for split in (False, True):
+        for md in data:
+            md = ModularDatum(md.labels, md.S, md.T, name=md.name)
+            made.clear()
+            with monkeypatch.context() as patch:
+                if not split:
+                    patch.setattr(modular, "_centralizer_split", lambda md, block: None)
+                assert verify(md).ok
+            r, S = md.rank, md.S
+            L = math.lcm(*(e.den for row in S for e in row))
+            A = [[sum(map(abs, e.num)) * L // e.den for e in row] for row in S]
+            D = global_dim(md)
+            N = verlinde_fusion(md).N
+            # the pair ring matches A[x][c] A[y][c] against A[0][c] A[z][c]
+            # for every x, y, z and c
+            match = max(A[x][c] * A[y][c] for x in range(r) for y in range(r) for c in range(r))
+            match += max(A[0][c] * A[z][c] for z in range(r) for c in range(r))
+            assert [bound for name, _, bound in made if name == "_pair_ring"] >= [match], md.name
+            if split:
+                # every ring of a block covers the block's relations; the
+                # certificate decides only the pairs whose product is not
+                # simple
+                for name, B, bound in made:
+                    if name == "_leaf_unitary":
+                        d_b = sum(A[0][k] ** 2 for k in B)
+                        want = max(sum(A[i][k] * A[j][k] for k in B) + (d_b if i == j else 0) for i in B for j in B)
+                    elif name == "_verlinde_certified":
+                        want = max(sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
+                                   for x in B for y in B if sum(N[x][y]) > 1 for c in B)
+                    elif name == "_balancing_witness":
+                        want = max(A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r)) for x in B for y in B)
+                    else:
+                        continue
+                    assert bound >= want, (md.name, name, B)
+                    leaves += len(B) < r
+                continue
+            unitarity = max(
+                sum(A[i][k] * A[j][k] for k in range(r))
+                + (sum(map(abs, D.num)) * L * L // D.den if i == j else 0)
+                for i in range(r) for j in range(r)
+            )
+            # the certificate decides only the pairs whose product is not simple
+            left = [(x, y) for x in range(r) for y in range(r) if sum(N[x][y]) > 1]
+            verlinde = max(
+                (sum(N[x][y][z] * A[0][c] * A[z][c] for z in range(r)) + A[x][c] * A[y][c]
+                 for x, y in left for c in range(r)),
+                default=0,
+            )
+            balancing = max(
+                A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
+                for x in range(r) for y in range(r)
+            )
+            # with no split, the unitarity ring also matches entries of L S
+            # and L conj(S)
+            charge = 2 * max(map(max, A))
+            bounds = [bound for _, _, bound in made]
+            # no certificate ring when every product is simple
+            assert len(made) == 3 + bool(left), md.name
+            assert bounds[0] >= max(unitarity, charge), md.name
+            assert bounds[1] >= match, md.name
+            assert bounds[-1] >= balancing, md.name
+            if left:
+                assert bounds[2] >= verlinde, md.name
+            rings.add(len(made))
+    # pointed-c27 has only simple products, the others do not; ising x
+    # pointed-c9 and ising x fib each have two leaves, with a unitarity and
+    # a balancing ring each, and ising and fib a certificate
     assert rings == {3, 4}
+    assert leaves == 2 * 2 * 2 + 2 + 1, leaves
 
 
 # ------------------------------------------------ the symmetric Verlinde fill
@@ -1230,8 +1264,10 @@ def test_candidate_step_sees_only_pairs_inside_a_prime_factor(monkeypatch):
         (lambda: so5_level9(1), lambda: _verlinde_exact(so5_level9(1)).N, "shifted"),
         (pointed_c3, lambda: group_table((3,)), "shifted"),
         (pointed_c3, lambda: group_table((3,)), "squared"),
+        (lambda: so5_level9(1), lambda: _verlinde_exact(so5_level9(1)).N, "halved"),
     ],
-    ids=["ising*so5level9-1-shifted", "ising*pointed-c3-shifted", "ising*pointed-c3-squared"],
+    ids=["ising*so5level9-1-shifted", "ising*pointed-c3-shifted", "ising*pointed-c3-squared",
+         "ising*so5level9-1-halved"],
 )
 def test_a_wrong_split_is_rejected(monkeypatch, second, table, proposal):
     md = deligne_product(ising(1, 1), second())
@@ -1239,33 +1275,35 @@ def test_a_wrong_split_is_rejected(monkeypatch, second, table, proposal):
     report = verify(deligne_product(ising(1, 1), second()))
     real = modular._centralizer_split
     blocks = []
+    # deligne_product numbers (a, b) as a * rank(b) + b
+    n = md.rank // 3
+    ising_part, other, psi = [0, n, 2 * n], list(range(n)), n
 
-    def wrong(md, planes, block):
+    def wrong(md, block):
         """A wrong split of the whole datum; sub-blocks get the real split.
-        "shifted" multiplies each non-unit object of R2 by an invertible
-        object of R1: R1 x R2 still maps one to one onto the objects, by
-        simple products, but R2 is no fusion subring.  "squared" proposes
-        R2 twice, whose 9 simple products hit only 3 objects."""
+        "shifted" multiplies each non-unit object of the second factor by
+        the invertible (psi, 1): the ising factor times it still maps one
+        to one onto the objects, by simple products, but (sigma, 1) does
+        not centralize it.  "squared" proposes the second factor twice,
+        which does not centralize itself.  "halved" proposes {1, psi}
+        with the second factor: they centralize each other, but their
+        products miss the objects (sigma, b)."""
         blocks.append(len(block))
-        split = real(md, planes, block)
         if len(block) < md.rank:
-            return split
-        R1, R2 = split
+            return real(md, block)
         if proposal == "squared":
-            return R2, R2
-        g = next(u for u in R1[1:] if sum(map(sum, want[u])) == md.rank)
-        return R1, [0] + sorted(want[g][v].index(1) for v in R2[1:])
+            return other, other
+        if proposal == "halved":
+            return [0, psi], other
+        return ising_part, [0] + sorted(want[psi][v].index(1) for v in other[1:])
 
     monkeypatch.setattr(modular, "_centralizer_split", wrong)
     assert verlinde_fusion(md).N == want
     assert verify(md) == report
-    # on ising x so5 the shifted R2 has no simple product inside it, so the
-    # split passes the product table, its factors are searched, and the
-    # certificate rejects its rows, leaving the exact formula; on ising x
-    # pointed-c3, (psi, g) squared is (1, g^2), outside the shifted R2, and
-    # the product table rejects both splits, leaving the candidates of
-    # every pair
-    assert blocks[0] == md.rank and len(blocks) == (3 if md.rank == 18 else 1)
+    # `_product_table` rejects each proposal at the top, before any factor
+    # is searched, and the whole datum is one leaf
+    assert blocks == [md.rank]
+    assert not modular._split_tree(md).parts
 
 
 def test_block_candidates_are_zero_outside_the_block():
@@ -1279,7 +1317,7 @@ def test_block_candidates_are_zero_outside_the_block():
     rows = _verlinde_candidates(md, planes, duals, [0, x])
     assert list(rows) == [(x, x)] and rows[x, x] == (0,) * md.rank
     assert sum(verlinde_fusion(md).N[x][x]) == 2
-    assert not _verlinde_certified(md, rows)
+    assert not _verlinde_certified(md, rows, range(md.rank))
 
 
 def changed_pair(md, a, b):
@@ -1333,5 +1371,175 @@ def test_product_mutations_report_as_before(monkeypatch, factors, kind, failing,
     assert [c.name for c in got.failures] == failing
     assert got.failures[0].witness.startswith(witness)
     # and the whole report is that of the candidates of every pair
-    monkeypatch.setattr(modular, "_centralizer_split", lambda md, planes, block: None)
+    monkeypatch.setattr(modular, "_centralizer_split", lambda md, block: None)
     assert verify(mutate()) == got
+
+
+# ------------------------------------------------- the split tree, from S
+
+
+def leaves(md):
+    return [list(node.block) for node in modular._nodes(modular._split_tree(md)) if not node.parts]
+
+
+def test_pairwise_products_split_into_their_coordinate_factors():
+    names = builtin_names()
+    alone = {name for name in names if modular._split_tree(builtin(name)).parts}
+    assert alone == {"double-c3"}
+    split = 0
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            A, B = builtin(a), builtin(b)
+            tree = modular._split_tree(deligne_product(A, B))
+            if not tree.parts:
+                continue
+            split += 1
+            # deligne_product numbers (a, b) as a * rank(b) + b, so the
+            # objects of a coordinate factor have the other coordinate 0
+            factors = [{u * B.rank for u in range(A.rank)}, set(range(B.rank))]
+            for node in modular._nodes(tree):
+                if not node.parts:
+                    assert any(set(node.block) <= f for f in factors), (a, b, node.block)
+            if not {a, b} & alone:
+                assert sorted(map(set, (part.block for part in tree.parts)), key=len) == sorted(factors, key=len), (a, b)
+    # toric code squared has no modular subcategory of rank 4
+    assert split == len(names) * (len(names) + 1) // 2 - 1, split
+
+
+def test_double_c5_splits_into_two_cyclic_factors():
+    md = double_abelian((5,))
+    parts = leaves(md)
+    assert sorted(map(len, parts)) == [5, 5]
+    # each factor is a subgroup of order 5: closed under the group law
+    N = verlinde_fusion(md).N
+    for part in parts:
+        assert all(N[x][y].index(1) in part for x in part for y in part), part
+
+
+def test_pointed_c27_has_no_split():
+    c27 = planted_data()[0]
+    assert not modular._split_tree(c27).parts
+    assert leaves(c27) == [list(range(27))]
+
+
+def test_verify_on_a_product_scans_only_inside_its_factors(monkeypatch):
+    md = deligne_product(so5_level9(1), so5_level9(2))
+    gram, balancing = [], []
+    real_gram, real_balancing = modular._gram_miss, modular._balancing_witness
+
+    def gram_rows(a, *args):
+        gram.append(len(a))
+        return real_gram(a, *args)
+
+    def balancing_pairs(md, N, block):
+        balancing.append(len(block))
+        return real_balancing(md, N, block)
+
+    monkeypatch.setattr(modular, "_gram_miss", gram_rows)
+    monkeypatch.setattr(modular, "_balancing_witness", balancing_pairs)
+    assert verify(md).ok
+    # one unitarity and one balancing scan per so5 factor, 21 pairs each,
+    # against 666 over the whole datum
+    assert gram == balancing == [6, 6], (gram, balancing)
+
+
+def test_leaf_certificate_reads_only_the_leaf_columns():
+    md = deligne_product(so5_level9(1), so5_level9(2))
+    r = md.rank
+    duals = _charge_conjugation(md)[0]
+    exact = kron_table(_verlinde_exact(so5_level9(1)).N, _verlinde_exact(so5_level9(2)).N)
+    checked = 0
+    for leaf in leaves(md):
+        planes = [[None] * (x + 1) for x in range(r)]
+        assert not modular._match(md, planes, leaf, modular._unit_rows(r))
+        rows = _verlinde_candidates(md, planes, duals, leaf)
+        assert rows and all(rows[x, y] == exact[x][y] for x, y in rows)
+        assert _verlinde_certified(md, rows, leaf)
+        # a planted error inside the leaf fails on the leaf's columns, as it
+        # does on every column
+        for (x, y), row in rows.items():
+            for z in leaf:
+                raised = dict(rows)
+                raised[x, y] = tuple(k + (w == z) for w, k in enumerate(row))
+                assert not _verlinde_certified(md, raised, leaf), (x, y, z)
+                checked += 1
+            zeroed = dict(rows)
+            zeroed[x, y] = (0,) * r
+            assert not _verlinde_certified(md, zeroed, leaf), (x, y)
+            assert not _verlinde_certified(md, zeroed, range(r)), (x, y)
+            # the unit and b both have dimension 1, so moving a unit of
+            # multiplicity from one to the other keeps the unit column; the
+            # other columns of the leaf must catch it
+            if row[0]:
+                moved = dict(rows)
+                moved[x, y] = tuple(k - (w == 0) + (w == leaf[2]) for w, k in enumerate(row))
+                assert _verlinde_certified(md, moved, [0]), (x, y)
+                assert not _verlinde_certified(md, moved, leaf), (x, y)
+                checked += 1
+    assert checked >= 2 * (6 * 6 + 5), checked
+
+
+def split_products():
+    """Data that split, and the factors of the products among them."""
+    so5_1 = so5_level9(1)
+    products = [
+        (ising(1, 1), fibonacci(1)),
+        (ising(1, 1), so5_1),
+        (fibonacci(2), so5_level9(4)),
+        (so5_1, so5_level9(2)),
+        (ising(1, 1), builtin("pointed-c9")),
+    ]
+    return [(deligne_product(*f), f) for f in products] + [(double_abelian((5,)), None)]
+
+
+def shifted_t(md, x, k):
+    T = list(md.T)
+    T[x] = T[x] * RootOfUnity.make(fs_exponent(md), k % fs_exponent(md))
+    return ModularDatum(md.labels, md.S, T, name=f"{md.name}~shifted")
+
+
+def report_without_split(monkeypatch, md):
+    """verify on a fresh copy of md with the split turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(modular, "_centralizer_split", lambda md, block: None)
+        return verify(ModularDatum(md.labels, md.S, md.T, name=md.name))
+
+
+@pytest.mark.parametrize("md, factors", split_products(), ids=lambda v: getattr(v, "name", None) or "")
+def test_split_mutations_report_as_without_the_split(monkeypatch, md, factors):
+    assert len(leaves(md)) >= 2, md.name
+    r, N = md.rank, verlinde_fusion(md).N
+    # a shifted T exponent at an object of each leaf and at the last
+    # object, which lies in no leaf
+    objects = [leaf[1] for leaf in leaves(md)] + [r - 1]
+    caught = 0
+    for x in objects:
+        for k in (1, -1):
+            bad = shifted_t(md, x, k)
+            got = verify(bad)
+            want = reference_balancing(bad, N)
+            check = {c.name: c for c in got.checks}["balancing"]
+            assert (check.passed, check.witness) == (not want, want), (md.name, x, k)
+            assert got == report_without_split(monkeypatch, bad), (md.name, x, k)
+            caught += bool(want)
+    assert caught, md.name
+    # a changed symmetric S pair inside a leaf and across the leaves
+    inside = leaves(md)[0]
+    for a, b in ((inside[1], inside[-1]), (inside[1], r - 1)):
+        bad = changed_pair(md, a, b)
+        got = verify(bad)
+        want = reference_unitarity(bad)
+        assert want and {c.name: c for c in got.checks}["s-unitary-scale"].witness == want, (md.name, a, b)
+        assert got == report_without_split(monkeypatch, bad), (md.name, a, b)
+    if factors is None:
+        return
+    # a mutated factor times a valid one: S still splits, and one factor
+    # fails unitarity or balancing; a T shift can land on a valid datum, so
+    # the first that fails is taken
+    first, second = factors
+    shifts = (shifted_t(first, x, k) for x in range(1, first.rank) for k in (1, -1))
+    for mutated in (changed_pair(first, 1, first.rank - 1), next(m for m in shifts if not verify(m).ok)):
+        bad = deligne_product(mutated, second)
+        assert modular._split_tree(bad).parts, md.name
+        got = verify(bad)
+        assert not got.ok and got == report_without_split(monkeypatch, bad), md.name
