@@ -369,37 +369,14 @@ def _norm1(e: Cyc, scale: int) -> int:
 
 
 @_kept_on_datum
-def _unitarity_images(md: ModularDatum):
-    """The ring that decides unitarity and charge conjugation, and the
-    images of the rows of A = L S and of conj(A) in it, one tuple of
-    residues per row.
-
-    The bound is the largest row sum of ||A[i][k]||_1^2 plus ||L^2 D||_1,
-    which covers every entry of A conj(A)^T - L^2 D I (see
-    `_unitarity_witness`).  It decides equality of two entries of A or
-    conj(A) too: the difference of A[i][k] and conj(A[j][k]) has every
-    |sigma| at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, with top the
-    largest ||A[x][y]||_1, since conjugation keeps the 1-norm.  The row
-    holding top gives a row sum of at least top^2, and ||L^2 D||_1 >= 1 as
-    D is nonzero, so the bound is at least top^2 + 1 >= 2 top.  So two rows
-    are equal exactly when their residue tuples are.
-    """
-    D = global_dim(md)
-    L, N, norms = _integral_s(md)
-    ring = ResidueMap(N, max(sum(v * v for v in row) for row in norms) + _norm1(D, L * L))
-    a = _per_entry(md, lambda e: ring(e, L))
-    abar = _per_entry(md, lambda e: ring(e, L, -1))
-    return ring, a, abar
-
-
-@_kept_on_datum
 def _pair_ring(md: ModularDatum):
     """The ring that decides a b' = a' b for entries of A = L S or their
     Galois conjugates, and the residues of A at the distinct S values (see
     `_entries`), for the simple products of `verlinde_fusion` and for
     `galois._ratio_classes`.  Each difference has every |sigma| at most
     2 top^2, with top the largest ||A[x][y]||_1, since sigma_k keeps the
-    1-norm."""
+    1-norm.  It decides charge conjugation too (see
+    `_charge_conjugation`)."""
     L, N, norms = _integral_s(md)
     top = max(map(max, norms))
     ring = ResidueMap(N, 2 * top * top)
@@ -409,14 +386,23 @@ def _pair_ring(md: ModularDatum):
 @_kept_on_datum
 def _charge_conjugation(md: ModularDatum):
     """(C, None) with conj(S[j]) = S[C[j]] for every row j, or (None, j) for
-    the first row j whose conjugate is no row of S.  Rows are matched by
-    their residues in the unitarity ring, which decides entry equality
-    exactly (see `_unitarity_images`)."""
-    _, a, abar = _unitarity_images(md)
-    rows = {row: z for z, row in enumerate(a)}
+    the first row j whose conjugate is no row of S.
+
+    Rows are matched by their residues in the pair ring (see `_pair_ring`),
+    each distinct S value mapped once more for its conjugate.  With
+    A = L S and top the largest ||A[x][y]||_1, A[i][k] - conj(A[j][k]) has
+    every |sigma| at most ||A[i][k]||_1 + ||A[j][k]||_1 <= 2 top, since
+    conjugation keeps the 1-norm, and 2 top <= 2 top^2, the ring's bound,
+    as top >= ||A[0][0]||_1 = L >= 1.  So the ring decides entry equality,
+    and two rows are equal exactly when their residue tuples are."""
+    ring, residues = _pair_ring(md)
+    L = _integral_s(md)[0]
+    values, cells = _entries(md)
+    conj = tuple(ring(e, L, -1) for e in values)
+    rows = {tuple(map(residues.__getitem__, row)): z for z, row in enumerate(cells)}
     C = []
-    for j, row in enumerate(abar):
-        z = rows.get(row)
+    for j, row in enumerate(cells):
+        z = rows.get(tuple(map(conj.__getitem__, row)))
         if z is None:
             return None, j
         C.append(z)
@@ -428,24 +414,19 @@ def _unitarity_witness(md: ModularDatum) -> str:
     """The first entry of S Sbar^T that differs from D I, as a witness, or
     "" when S Sbar^T = D I holds exactly.
 
-    A datum with a split tree (see `_split_tree`) is unitary when every
-    leaf is (see `_leaf_unitary` and `verify`); otherwise, or when a leaf
-    fails, the whole matrix is scanned.  With A = L S integral, each entry
-    is decided in Z/m (see `ResidueMap`) as
-    sum_k A[i][k] conj(A[j][k]) - L^2 D [i = j] = 0.  By Cauchy-Schwarz
-    sum_k ||A[i][k]||_1 ||A[j][k]||_1 is at most the largest row sum of
-    ||A[i][k]||_1^2, which plus ||L^2 D||_1 bounds every entry.  Only the
-    failing entry is computed in the field, for the witness.
+    A datum with a split tree (see `_split_tree`) is unitary when the Gram
+    scan of every leaf passes (see `verify`); otherwise, or when a leaf
+    fails, the scan runs on all objects, which gives the verdict and the
+    first failing entry (see `_gram_miss`).  Only that entry is computed in
+    the field, for the witness.
     """
     tree = _split_tree(md)
-    if tree.parts and all(_leaf_unitary(md, node.block) for node in _nodes(tree) if not node.parts):
+    if tree.parts and all(_gram_miss(md, node.block) is None for node in _nodes(tree) if not node.parts):
         return ""
-    S = md.S
-    L = _integral_s(md)[0]
-    ring, a, abar = _unitarity_images(md)
-    miss = _gram_miss(a, abar, ring(global_dim(md), L * L), ring.modulus)
+    miss = _gram_miss(md, range(md.rank))
     if miss is None:
         return ""
+    S = md.S
     i, j = miss
     acc = rational(0)
     for k in range(md.rank):
@@ -453,29 +434,30 @@ def _unitarity_witness(md: ModularDatum) -> str:
     return f"(S Sbar)[{md.labels[i]}][{md.labels[j]}] = {acc}"
 
 
-def _gram_miss(a, abar, d, m):
-    """The first (i, j) in row-major order with
-    sum_k a[i][k] abar[j][k] - d [i = j] nonzero mod m, or None.  The
-    product is Hermitian, so the first failure always has j >= i, and only
-    the upper triangle is checked."""
+def _gram_miss(md: ModularDatum, block):
+    """The first (i, j), j >= i, of the block B, sorted with the unit first,
+    in row-major order with
+    sum_{k in B} S[i][k] conj(S[j][k]) != D_B [i = j], D_B the sum of
+    dim(k)^2 over B, or None; at B = all objects, D_B = D.  The sums form
+    a Hermitian matrix, so the first failure always has j >= i, and only
+    the upper triangle is checked.
+
+    With A = L S integral, each relation is decided in Z/m (see
+    `ResidueMap`) as sum_k A[i][k] conj(A[j][k]) - L^2 D_B [i = j] = 0,
+    with L^2 D_B = sum_k A[0][k]^2.  By Cauchy-Schwarz the largest row sum
+    of ||A[i][k]||_1^2 over B bounds every |sigma| of either term, so twice
+    it bounds each relation."""
+    L, N, norms = _integral_s(md)
+    ring = ResidueMap(N, 2 * max(sum(norms[i][k] ** 2 for k in block) for i in block))
+    m = ring.modulus
+    a = _sub_entries(md, lambda e: ring(e, L), block, block)
+    abar = _sub_entries(md, lambda e: ring(e, L, -1), block, block)
+    d = sum(v * v for v in a[0])
     for i, ai in enumerate(a):
         for j in range(i, len(a)):
             if (sum(map(operator.mul, ai, abar[j])) - (d if i == j else 0)) % m:
-                return i, j
+                return block[i], block[j]
     return None
-
-
-def _leaf_unitary(md: ModularDatum, block) -> bool:
-    """Whether sum_{k in B} S[i][k] conj(S[j][k]) = D_B [i = j] for every
-    i, j in the block B, with D_B the sum of dim(k)^2 over B.  With A = L S,
-    by Cauchy-Schwarz the largest row sum of ||A[i][k]||_1^2 over B bounds
-    every |sigma| of sum_k A[i][k] conj(A[j][k]) and of L^2 D_B =
-    sum_k A[0][k]^2, so twice it bounds each relation."""
-    L, N, norms = _integral_s(md)
-    ring = ResidueMap(N, 2 * max(sum(norms[i][k] ** 2 for k in block) for i in block))
-    a = _sub_entries(md, lambda e: ring(e, L), block, block)
-    abar = _sub_entries(md, lambda e: ring(e, L, -1), block, block)
-    return _gram_miss(a, abar, sum(v * v for v in a[0]), ring.modulus) is None
 
 
 @_kept_on_datum
@@ -601,28 +583,19 @@ def _fill(md: ModularDatum, node, planes, units) -> bool:
         return True
     if not all(_fill(md, part, planes, units) for part in node.parts):
         return False
-
-    def terms(R):
-        """(position in R, multiplicity) for the support of N[x][y], at the
-        positions of every x, y in R, whose rows lie inside R."""
-        out = {}
-        for i, x in enumerate(R):
-            for j, y in enumerate(R[: i + 1]):
-                row = planes[x][y]
-                out[i, j] = out[j, i] = [(k, row[z]) for k, z in enumerate(R) if row[z]]
-        return out
-
-    t1, t2 = (terms(part.block) for part in node.parts)
+    R1, R2 = (part.block for part in node.parts)
+    s1, s2 = _supports(planes, R1), _supports(planes, R2)
     table = node.table
-    where = {z: (i, j) for i, line in enumerate(table) for j, z in enumerate(line)}
+    where = {z: (u, v) for u, line in zip(R1, table) for v, z in zip(R2, line)}
     r = md.rank
     for a, x in enumerate(block):
-        i1, j1 = where[x]
+        u1, v1 = where[x]
         px = planes[x]
         for y in block[: a + 1]:
             if px[y] is None:
-                i2, j2 = where[y]
-                p, q = t1[i1, i2], t2[j1, j2]
+                u2, v2 = where[y]
+                p = s1[id(planes[max(u1, u2)][min(u1, u2)])]
+                q = s2[id(planes[max(v1, v2)][min(v1, v2)])]
                 if len(p) == len(q) == 1 and p[0][1] == q[0][1] == 1:
                     px[y] = units[table[p[0][0]][q[0][0]]]
                     continue
@@ -633,6 +606,24 @@ def _fill(md: ModularDatum, node, planes, units) -> bool:
                         row[line[j]] = n * k
                 px[y] = tuple(row)
     return True
+
+
+def _supports(N, block) -> dict:
+    """{id(row): [(position in block, multiplicity)] over the support of
+    row} for the rows N[x][y] at every y <= x in block, which must be
+    sorted, and whose rows must have their support inside block.  N is the
+    planes of `_fill` or a fusion tensor, read in the lower triangle only.
+    A mirrored pair shares its row object, and so does every simple product
+    with one result, so each distinct row object is read once."""
+    n = len(block)
+    out = {}
+    for i, x in enumerate(block):
+        Nx = N[x]
+        for y in block[: i + 1]:
+            row = Nx[y]
+            if id(row) not in out:
+                out[id(row)] = [(k, row[block[k]]) for k in compress(range(n), map(row.__getitem__, block))]
+    return out
 
 
 def _pair_rows(md: ModularDatum, block):
@@ -668,16 +659,6 @@ def _match(md: ModularDatum, planes, block, units) -> bool:
             else:
                 px[y] = units[z]
     return every
-
-
-def _simple_products(md: ModularDatum):
-    """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
-    decided by the match over the whole datum, else None.  S must be
-    unitary with no S[0][c] zero (see `verlinde_fusion`)."""
-    r = md.rank
-    planes = [[None] * (x + 1) for x in range(r)]
-    _match(md, planes, range(r), _unit_rows(r))
-    return planes
 
 
 # a node of a split tree: a sorted block of objects, and either no parts
@@ -981,20 +962,13 @@ def _balancing_witness(md: ModularDatum, N, block) -> str:
     fusion row sum times max ||A[0][z]||_1, over block, bounds every
     relation.
 
-    Each sum runs over the support of N[x][y] only.  A mirrored pair shares
-    its row object, and so does every simple product with one result, so
-    each distinct row object is scanned once for its support.
+    Each sum runs over the support of N[x][y] only, read once per distinct
+    row object (see `_supports`); N is commutative, so each row is looked
+    up in the lower triangle, as N[y][x].
     """
     n = len(block)
     L, n_s, norms = _integral_s(md)
-    # (position in block, multiplicity) over the support of each row
-    terms = {}
-    for i, x in enumerate(block):
-        Nx = N[x]
-        for y in block[i:]:
-            row = Nx[y]
-            if id(row) not in terms:
-                terms[id(row)] = [(k, row[block[k]]) for k in compress(range(n), map(row.__getitem__, block))]
+    terms = _supports(N, block)
     fused = max(sum(k for _, k in t) for t in terms.values())
     ring = ResidueMap(
         math.lcm(n_s, *(md.T[x].order for x in block)),
@@ -1005,9 +979,9 @@ def _balancing_witness(md: ModularDatum, N, block) -> str:
     a = _sub_entries(md, lambda e: ring(e, L), block, block)
     dim_theta = [d * t % m for d, t in zip(a[0], theta)]
     for i, x in enumerate(block):
-        Nx, ax, tx = N[x], a[i], theta[i]
+        ax, tx = a[i], theta[i]
         for j in range(i, n):
-            rhs = sum(k * dim_theta[z] for z, k in terms[id(Nx[block[j]])])
+            rhs = sum(k * dim_theta[z] for z, k in terms[id(N[block[j]][x])])
             if (tx * theta[j] * ax[j] - rhs) % m:
                 return f"balancing fails at ({md.labels[x]}, {md.labels[block[j]]})"
     return ""
@@ -1052,6 +1026,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     proves that this is exact.  The first failing index is reported.  The
     Verlinde candidates are computed in F_p, so no check uses a float.
 
+    Unitarity is one Gram scan per block (see `_gram_miss`), and charge
+    conjugation matches rows in the pair ring (see `_charge_conjugation`).
     On data with a split tree (see `_split_tree`), unitarity and balancing
     are decided inside its leaves first.  At a split of a block B into R1
     and R2, (K) of `verlinde_fusion` gives, for x = u v and x' = u' v',
@@ -1069,8 +1045,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     checked exactly at every split, both sides of the balancing relation
     at (u v, u' v') are the products of the two sides at (u, u') and at
     (v, v'), so balancing inside every leaf gives balancing everywhere.
-    When a leaf or a T product fails, or S has no split, the whole datum
-    is scanned, which gives the verdict and the first witness.
+    When a leaf or a T product fails, or S has no split, the same scan
+    runs on the whole datum, which gives the verdict and the first witness.
     """
     checks: list[Check] = []
     labels = md.labels
@@ -1090,8 +1066,8 @@ def verify(md: ModularDatum) -> VerificationReport:
     # given symmetry and S Sbar = D I, S^2 = D C exactly when Sbar = S C,
     # that is when conjugating column j of S gives column C(j); S is
     # symmetric, so its rows serve as its columns.  Rows are matched by
-    # their residues in the unitarity ring, which decides entry equality
-    # exactly (see `_unitarity_images`)
+    # their residues in the pair ring, which decides entry equality
+    # exactly (see `_charge_conjugation`)
     charge_bad = "prerequisite check failed"
     if not unitary_bad:
         miss = _charge_conjugation(md)[1]

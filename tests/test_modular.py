@@ -29,7 +29,6 @@ from mdtk.modular import (
     _entries,
     _integral_s,
     _pair_ring,
-    _simple_products,
     _unitarity_witness,
     _verlinde_certified,
     _verlinde_candidates,
@@ -69,6 +68,16 @@ def pointed_c3():
 
 def pointed_c5():
     return cyclic_metric(5, 5, lambda g: g * g, name="pointed-c5")
+
+
+def simple_products(md):
+    """planes[x][y] for y <= x: the unit vector e_z when x tensor y = z is
+    decided by the match over the whole datum, else None.  S must be
+    unitary with no S[0][c] zero (see `verlinde_fusion`)."""
+    r = md.rank
+    planes = [[None] * (x + 1) for x in range(r)]
+    modular._match(md, planes, range(r), modular._unit_rows(r))
+    return planes
 
 
 # ----------------------------------------------------------- container
@@ -788,7 +797,7 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
                 # certificate decides only the pairs whose product is not
                 # simple
                 for name, B, bound in made:
-                    if name == "_leaf_unitary":
+                    if name == "_gram_miss":
                         d_b = sum(A[0][k] ** 2 for k in B)
                         want = max(sum(A[i][k] * A[j][k] for k in B) + (d_b if i == j else 0) for i in B for j in B)
                     elif name == "_verlinde_certified":
@@ -817,14 +826,13 @@ def test_residue_bounds_cover_every_relation(monkeypatch):
                 A[x][y] + sum(N[x][y][z] * A[0][z] for z in range(r))
                 for x in range(r) for y in range(r)
             )
-            # with no split, the unitarity ring also matches entries of L S
-            # and L conj(S)
+            # the pair ring also matches entries of L S and L conj(S)
             charge = 2 * max(map(max, A))
             bounds = [bound for _, _, bound in made]
             # no certificate ring when every product is simple
             assert len(made) == 3 + bool(left), md.name
-            assert bounds[0] >= max(unitarity, charge), md.name
-            assert bounds[1] >= match, md.name
+            assert bounds[0] >= unitarity, md.name
+            assert bounds[1] >= max(match, charge), md.name
             assert bounds[-1] >= balancing, md.name
             if left:
                 assert bounds[2] >= verlinde, md.name
@@ -889,7 +897,7 @@ def test_symmetric_fill_matches_reference_loop():
             continue
         # every pair, and the pairs verlinde_fusion leaves over, whose
         # triples with a simple pair are read from the match
-        planes = _simple_products(md)
+        planes = simple_products(md)
         left = [(x, y) for x, y in all_pairs(md) if planes[x][y] is None]
         for pairs, got in ((all_pairs(md), candidate_rows(md)), (left, candidate_rows(md, planes))):
             want = reference_verlinde_float(md, pairs)
@@ -919,7 +927,7 @@ def test_no_charge_conjugation_means_no_candidate_planes(monkeypatch):
     for md in unitary():
         assert not _unitarity_witness(md), md.name
         assert _charge_conjugation(md)[0] is None, md.name
-        assert any(row is None for plane in _simple_products(md) for row in plane), md.name
+        assert any(row is None for plane in simple_products(md) for row in plane), md.name
     exact = [fusion_outcome(_verlinde_exact, md) for md in unitary()]
     reports = [str(verify(md)) for md in unitary()]
 
@@ -1026,7 +1034,7 @@ def test_no_candidates_for_a_non_integral_s():
 
 def test_a_weight_zero_mod_p_falls_back_to_the_exact_formula(monkeypatch):
     md = deligne_product(fibonacci(1), fibonacci(2))
-    assert any(None in plane for plane in _simple_products(md))
+    assert any(None in plane for plane in simple_products(md))
     want = _verlinde_exact(md).N
 
     def five(N):
@@ -1098,7 +1106,7 @@ def test_match_ring_bound_covers_the_simple_products():
 
 
 def simple_count(md):
-    return sum(row is not None for plane in _simple_products(md) for row in plane)
+    return sum(row is not None for plane in simple_products(md) for row in plane)
 
 
 def test_every_pair_matches_on_pointed_data():
@@ -1115,7 +1123,7 @@ def test_ising_squared_matches_34_of_45_pairs():
     md = deligne_product(ising(1, 1), ising(3, -1))
     assert md.rank * (md.rank + 1) // 2 == 45
     assert simple_count(md) == 34
-    planes = _simple_products(md)
+    planes = simple_products(md)
     for x in range(md.rank):
         for y in range(x + 1):
             a, b = md.labels[x][1:-1].split(","), md.labels[y][1:-1].split(",")
@@ -1312,7 +1320,7 @@ def test_block_candidates_are_zero_outside_the_block():
     # block {1, x} is not closed under duals, and x tensor x = (g^2, 1) +
     # (g^2, tau) lies outside it
     md = deligne_product(pointed_c3(), fibonacci(1))
-    planes = _simple_products(md)
+    planes = simple_products(md)
     duals = _charge_conjugation(md)[0]
     x = next(x for x in range(md.rank) if duals[x] != x and planes[x][x] is None)
     rows = _verlinde_candidates(md, planes, duals, [0, x])
@@ -1428,9 +1436,9 @@ def test_verify_on_a_product_scans_only_inside_its_factors(monkeypatch):
     gram, balancing = [], []
     real_gram, real_balancing = modular._gram_miss, modular._balancing_witness
 
-    def gram_rows(a, *args):
-        gram.append(len(a))
-        return real_gram(a, *args)
+    def gram_rows(md, block):
+        gram.append(len(block))
+        return real_gram(md, block)
 
     def balancing_pairs(md, N, block):
         balancing.append(len(block))
@@ -1544,3 +1552,21 @@ def test_split_mutations_report_as_without_the_split(monkeypatch, md, factors):
         assert modular._split_tree(bad).parts, md.name
         got = verify(bad)
         assert not got.ok and got == report_without_split(monkeypatch, bad), md.name
+
+
+def flipped_factor_products():
+    """Products whose first factor has one row of S sign-flipped: S stays
+    unitary and still splits, and the charge check fails on it."""
+    return [
+        deligne_product(sign_flipped(builtin("pointed-c9"), 8), ising(1, 1)),
+        deligne_product(sign_flipped(builtin("pointed-c7"), 6), fibonacci(1)),
+    ]
+
+
+@pytest.mark.parametrize("md", flipped_factor_products(), ids=lambda md: md.name)
+def test_charge_conjugation_on_split_data_reports_as_without_the_split(monkeypatch, md):
+    assert len(leaves(md)) >= 2, md.name
+    got = verify(md)
+    want = reference_charge(md)
+    assert want and {c.name: c for c in got.checks}["charge-conjugation"].witness == want, md.name
+    assert got == report_without_split(monkeypatch, md), md.name
