@@ -10,9 +10,9 @@ action on objects (galois), evaluates the prime power bound on the T order
 on first use (PEP 562), and the layers import construct, galois and
 bounds only in the functions that call them.  So an `mdtk` command loads
 only what it runs: cyclo, modular and catalog_cli always; construct for
-`construct`, `product`, a builtin name, and the classification of an
-extremal datum; galois for `orbits`, `conjugate` and `catalog --all`;
-bounds for `bound-check` and `catalog --all`.
+`construct`, `product` and a builtin name; galois for `orbits`,
+`conjugate` and `catalog --all`; bounds for `bound-check` and
+`catalog --all`.
 """
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 The central statement: when the T order is a power of an odd prime it is
 at most the integer norm of the global dimension, and when it is a power
 of two it is at most four times that norm.  `bound_check` evaluates this
-and flags the extremal cases; `extremal_classify` matches the fusion ring
-of an extremal datum against the short list of shapes that can occur, each
-the Verlinde fusion ring of a datum the library builds.
+and flags the extremal cases; `extremal_classify` names the fusion ring
+of an extremal datum among the short list of shapes that can occur, from
+the tensor factors that the split tree finds in S.
 `lemma_orbit_bound` and `siegel_check` expose the two ingredients the
 bound rests on, per object: a Galois orbit sum against a trace measure,
 claimed on data whose dimensions are all integers, and the trace lower
@@ -14,15 +14,17 @@ bound for totally positive algebraic integers.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclo import Cyc, _factorize, rational, units_mod
 from .modular import (
     FusionTensor,
     ModularDatum,
     NotModularError,
+    _nodes,
+    _split_tree,
     dims,
     fs_exponent,
     global_dim,
@@ -219,97 +221,37 @@ def siegel_check(alpha) -> bool:
 # classification of the extremal fusion rings
 
 
-@lru_cache(maxsize=None)
-def _templates(rank: int) -> tuple[tuple[str, FusionTensor], ...]:
-    """The Verlinde fusion rings of the template data of this rank; data of
-    other ranks are not built."""
-    from .construct import MetricGroup, deligne_product, fibonacci, ising, pointed
-
-    def ising_x_pointed(*orders: int) -> ModularDatum:
-        return deligne_product(
-            ising(1, 1), pointed(MetricGroup.generator_form(orders, (1,) * len(orders)))
-        )
-
-    # the non-pointed extremal fusion rings, by rank: a class name and a
-    # datum of the library that has the ring
-    data = {
-        2: (("fibonacci", lambda: fibonacci(1)),),
-        3: (("ising-x-pointed(1)", lambda: ising(1, 1)),),
-        6: (("ising-x-pointed(2)", lambda: ising_x_pointed(2)),),
-        9: (("ising-x-ising", lambda: deligne_product(ising(1, 1), ising(1, 1))),),
-        12: (
-            ("ising-x-pointed(4)", lambda: ising_x_pointed(4)),
-            ("ising-x-pointed(4)", lambda: ising_x_pointed(2, 2)),
-        ),
-    }
-    return tuple((name, verlinde_fusion(build())) for name, build in data.get(rank, ()))
-
-
-def _signature(ft: FusionTensor, x: int) -> tuple:
-    flat = tuple(sorted(v for row in ft.N[x] for v in row))
-    return (flat, ft.N[x][x][x], ft.N[x][x][0], ft.dual(x) == x)
-
-
-def _fusion_isomorphic(a: FusionTensor, b: FusionTensor) -> bool:
-    r = a.rank
-    if b.rank != r:
-        return False
-    siga = [_signature(a, x) for x in range(r)]
-    sigb = [_signature(b, x) for x in range(r)]
-    if sorted(siga) != sorted(sigb):
-        return False
-
-    assign = [-1] * r
-    used = [False] * r
-
-    def consistent(x: int) -> bool:
-        for y in range(r):
-            if assign[y] < 0:
-                continue
-            for z in range(r):
-                if assign[z] < 0:
-                    continue
-                if a.N[x][y][z] != b.N[assign[x]][assign[y]][assign[z]]:
-                    return False
-                if a.N[y][z][x] != b.N[assign[y]][assign[z]][assign[x]]:
-                    return False
-        return True
-
-    def place(x: int) -> bool:
-        if x == r:
-            return True
-        for cand in range(r):
-            if used[cand] or sigb[cand] != siga[x]:
-                continue
-            if x == 0 and cand != 0:
-                continue
-            assign[x] = cand
-            used[cand] = True
-            if consistent(x) and place(x + 1):
-                return True
-            assign[x] = -1
-            used[cand] = False
-        return False
-
-    return place(0)
-
-
 def _invertible_group_cyclic(ft: FusionTensor) -> bool:
+    """Whether some object of a pointed ring has order equal to the rank."""
     r = ft.rank
-    prod = {}
-    for x in range(r):
-        for y in range(r):
-            zs = [z for z in range(r) if ft.N[x][y][z]]
-            prod[(x, y)] = zs[0]
     for x in range(r):
         order = 1
         y = x
         while y != 0:
-            y = prod[(x, y)]
+            y = ft.N[x][y].index(1)
             order += 1
         if order == r:
             return True
     return False
+
+
+def _leaf_kind(N, block, invertible) -> str:
+    """pointed, ising, fibonacci or other: the subring on a leaf block of
+    the split tree, read in the fusion tensor N.  The block is sorted with
+    the unit first.  ising has one object x that is not invertible, and
+    x x = 1 + psi for the other object psi; fibonacci has tau tau =
+    1 + tau.  Either ring is fixed by these products."""
+    rest = [x for x in block if x not in invertible]
+    if not rest:
+        return "pointed"
+    if len(rest) == 1:
+        x = rest[0]
+        square = [N[x][x][z] for z in block]
+        if len(block) == 2 and square == [1, 1]:
+            return "fibonacci"
+        if len(block) == 3 and square == [int(z != x) for z in block]:
+            return "ising"
+    return "other"
 
 
 def extremal_classify(md: ModularDatum) -> str:
@@ -321,6 +263,25 @@ def extremal_classify(md: ModularDatum) -> str:
     that of a fusion ring, not of a datum: the Galois conjugate fibonacci-2,
     which is not pseudo-unitary, is named fibonacci too.
 
+    A ring that is not pointed is named by the leaves of the split tree
+    (see `modular._split_tree`), each named by `_leaf_kind`: fibonacci is
+    one fibonacci leaf alone, ising-x-pointed(n) one ising leaf and
+    pointed leaves whose sizes multiply to n in (1, 2, 4), and
+    ising-x-ising two ising leaves alone.  This is sound without
+    unitarity.  At each split of a block into R1 and R2, (K) of
+    `verlinde_fusion` holds: `_product_table` checks the facts it rests
+    on, and its proof assumes no unitarity.  So dimensions multiply, the
+    global dimension is D = D_R1 D_R2 with D_R the sum of dim(x)^2 over
+    R, and the Verlinde formula factors:
+
+        N[u v][u' v'][u'' v''] = N1[u][u'][u''] N2[v][v'][v'']
+
+    with N_i the same sum over the columns of R_i, divided by D_Ri.  N[0][0]
+    is the unit row (see `FusionTensor`), so N2[0][0] is a multiple of the
+    unit row; hence the product of two objects of R1 lies in R1, and N is
+    the Kronecker product of its restrictions to R1 and R2.  By induction
+    the ring is the tensor product of the subrings on its leaves.
+
     The paper describes the extremal cases completely only for
     pseudo-unitary data, and the shapes follow that description.  So
     unclassified on data that are not pseudo-unitary, such as the
@@ -328,10 +289,18 @@ def extremal_classify(md: ModularDatum) -> str:
     classified case and is not a gap in the shapes; no hypothesis is
     checked here, and `fpdim_pseudounitary` tells the two apart."""
     ft = verlinde_fusion(md)
-    r = md.rank
-    if len(invertibles(ft)) == r:
+    labels = invertibles(ft)
+    if len(labels) == md.rank:
         return "pointed-cyclic" if _invertible_group_cyclic(ft) else "pointed-other"
-    for name, tmpl in _templates(r):
-        if _fusion_isomorphic(ft, tmpl):
-            return name
+    invertible = {x for x, label in enumerate(ft.labels) if label in labels}
+    leaves = [node.block for node in _nodes(_split_tree(md)) if not node.parts]
+    kinds = [_leaf_kind(ft.N, block, invertible) for block in leaves]
+    n = math.prod(len(block) for block, kind in zip(leaves, kinds) if kind == "pointed")
+    named = sorted(kind for kind in kinds if kind != "pointed")
+    if named == ["fibonacci"] and n == 1:
+        return "fibonacci"
+    if named == ["ising"] and n in (1, 2, 4):
+        return f"ising-x-pointed({n})"
+    if named == ["ising", "ising"] and n == 1:
+        return "ising-x-ising"
     return "unclassified"

@@ -1,8 +1,10 @@
 """Exponent bound verdicts, the orbit trace bound, Siegel's bound, and
 extremal classification."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -25,7 +27,15 @@ from mdtk.bounds import (
     siegel_check,
 )
 from mdtk.catalog_cli import builtin, builtin_names
-from mdtk.modular import ModularDatum, NotModularError, fpdim_pseudounitary
+from mdtk.modular import (
+    FusionTensor,
+    MdtkError,
+    ModularDatum,
+    NotModularError,
+    fpdim_pseudounitary,
+    invertibles,
+    verlinde_fusion,
+)
 
 
 def cyclic_pointed(n, name=None):
@@ -38,6 +48,22 @@ def sqrt2():
 
 def golden():
     return rational(1) + root_of_unity(5) + root_of_unity(5, 4)
+
+
+def relabelled(md, seed):
+    """md with its non-unit objects in a random order."""
+    p = [0] + random.Random(seed).sample(range(1, md.rank), md.rank - 1)
+    return ModularDatum(
+        [md.labels[i] for i in p], [[md.S[i][j] for j in p] for i in p], [md.T[i] for i in p],
+    )
+
+
+def swapped(md):
+    """md with S[1][1] and S[1][r-1] exchanged, kept symmetric."""
+    S = [list(row) for row in md.S]
+    S[1][1], S[1][-1] = S[1][-1], S[1][1]
+    S[-1][1] = S[1][-1]
+    return ModularDatum(md.labels, S, md.T, name=f"{md.name}~swapped")
 
 
 # ---------------------------------------------------------- prime_power
@@ -219,6 +245,162 @@ def test_siegel_check_rejections():
 
 
 # ------------------------------------------------------------- classify
+#
+# The reference names a ring by comparing it with the Verlinde fusion
+# rings of template data, found by a backtracking isomorphism search, and
+# decides whether a pointed ring is cyclic from its full product table.
+
+
+@lru_cache(maxsize=None)
+def _templates(rank: int) -> tuple[tuple[str, FusionTensor], ...]:
+    """The Verlinde fusion rings of the template data of this rank; data of
+    other ranks are not built."""
+    def ising_x_pointed(*orders: int) -> ModularDatum:
+        return deligne_product(
+            ising(1, 1), pointed(MetricGroup.generator_form(orders, (1,) * len(orders)))
+        )
+
+    # the non-pointed extremal fusion rings, by rank: a class name and a
+    # datum of the library that has the ring
+    data = {
+        2: (("fibonacci", lambda: fibonacci(1)),),
+        3: (("ising-x-pointed(1)", lambda: ising(1, 1)),),
+        6: (("ising-x-pointed(2)", lambda: ising_x_pointed(2)),),
+        9: (("ising-x-ising", lambda: deligne_product(ising(1, 1), ising(1, 1))),),
+        12: (
+            ("ising-x-pointed(4)", lambda: ising_x_pointed(4)),
+            ("ising-x-pointed(4)", lambda: ising_x_pointed(2, 2)),
+        ),
+    }
+    return tuple((name, verlinde_fusion(build())) for name, build in data.get(rank, ()))
+
+
+def _signature(ft: FusionTensor, x: int) -> tuple:
+    flat = tuple(sorted(v for row in ft.N[x] for v in row))
+    return (flat, ft.N[x][x][x], ft.N[x][x][0], ft.dual(x) == x)
+
+
+def _fusion_isomorphic(a: FusionTensor, b: FusionTensor) -> bool:
+    r = a.rank
+    if b.rank != r:
+        return False
+    siga = [_signature(a, x) for x in range(r)]
+    sigb = [_signature(b, x) for x in range(r)]
+    if sorted(siga) != sorted(sigb):
+        return False
+
+    assign = [-1] * r
+    used = [False] * r
+
+    def consistent(x: int) -> bool:
+        for y in range(r):
+            if assign[y] < 0:
+                continue
+            for z in range(r):
+                if assign[z] < 0:
+                    continue
+                if a.N[x][y][z] != b.N[assign[x]][assign[y]][assign[z]]:
+                    return False
+                if a.N[y][z][x] != b.N[assign[y]][assign[z]][assign[x]]:
+                    return False
+        return True
+
+    def place(x: int) -> bool:
+        if x == r:
+            return True
+        for cand in range(r):
+            if used[cand] or sigb[cand] != siga[x]:
+                continue
+            if x == 0 and cand != 0:
+                continue
+            assign[x] = cand
+            used[cand] = True
+            if consistent(x) and place(x + 1):
+                return True
+            assign[x] = -1
+            used[cand] = False
+        return False
+
+    return place(0)
+
+
+def _cyclic_by_table(ft: FusionTensor) -> bool:
+    r = ft.rank
+    prod = {}
+    for x in range(r):
+        for y in range(r):
+            zs = [z for z in range(r) if ft.N[x][y][z]]
+            prod[(x, y)] = zs[0]
+    for x in range(r):
+        order = 1
+        y = x
+        while y != 0:
+            y = prod[(x, y)]
+            order += 1
+        if order == r:
+            return True
+    return False
+
+
+def reference_extremal_class(md):
+    ft = verlinde_fusion(md)
+    r = md.rank
+    if len(invertibles(ft)) == r:
+        return "pointed-cyclic" if _cyclic_by_table(ft) else "pointed-other"
+    for name, tmpl in _templates(r):
+        if _fusion_isomorphic(ft, tmpl):
+            return name
+    return "unclassified"
+
+
+def outcome(classify, md):
+    """classify(md), or the type and text of the error it raises."""
+    try:
+        return classify(md)
+    except MdtkError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def reference_verdict_class(md):
+    return reference_extremal_class(md) if bound_check(md).extremal else None
+
+
+def classify_corpus():
+    """The builtins, their pairwise products up to rank 36, three
+    relabellings and one swapped-S mutant of each of rank 3 to 12, and
+    products that reach every shape."""
+    names = builtin_names()
+    data = [builtin(name) for name in names]
+    data += [
+        deligne_product(builtin(a), builtin(b))
+        for a, b in itertools.combinations_with_replacement(names, 2)
+        if builtin(a).rank * builtin(b).rank <= 36
+    ]
+    data += [
+        variant
+        for md in data if 3 <= md.rank <= 12
+        for variant in (*(relabelled(md, seed) for seed in range(3)), swapped(md))
+    ]
+    ising1 = ising(1, 1)
+    return data + [
+        deligne_product(ising1, double_abelian((2,))),
+        deligne_product(deligne_product(ising1, cyclic_pointed(2)), cyclic_pointed(2)),
+        deligne_product(ising1, cyclic_pointed(2)),
+        deligne_product(ising1, cyclic_pointed(3)),
+        deligne_product(fibonacci(1), fibonacci(2)),
+        cyclic_pointed(81),
+        pointed(MetricGroup.generator_form((9, 27), (1, 1))),
+    ]
+
+
+def test_extremal_classify_names_as_the_template_search():
+    # direct calls name non-extremal data too: ising x pointed-c3 stays
+    # unclassified
+    for md in classify_corpus():
+        want = outcome(reference_extremal_class, md)
+        assert outcome(extremal_classify, md) == want, md.name
+        got = outcome(lambda md: bound_check(md, classify=True).extremal_class, md)
+        assert got == outcome(reference_verdict_class, md), md.name
 
 
 def test_extremal_classify_direct():
@@ -231,6 +413,9 @@ def test_extremal_classify_direct():
     # not cyclic
     v = bound_check(pointed(MetricGroup.generator_form((2, 2), (1, 1))), classify=True)
     assert (v.fsexp, v.ndim, v.extremal, v.extremal_class) == (4, 4, True, "pointed-other")
+    assert extremal_classify(cyclic_pointed(81)) == "pointed-cyclic"
+    c9_c27 = pointed(MetricGroup.generator_form((9, 27), (1, 1)))
+    assert extremal_classify(c9_c27) == "pointed-other"
 
 
 def test_extremal_classify_ising_with_pointed():
@@ -240,29 +425,25 @@ def test_extremal_classify_ising_with_pointed():
 
 
 def test_extremal_classify_ising_with_groups_of_order_four():
-    for mg in (MetricGroup.generator_form((4,), (1,)),
-               MetricGroup.generator_form((2, 2), (1, 1))):
-        md = deligne_product(ising(1, 1), pointed(mg))
+    # the toric code double-c2 is a leaf of the split tree that does not
+    # split further, and its ring is pointed all the same
+    for group in (pointed(MetricGroup.generator_form((4,), (1,))),
+                  pointed(MetricGroup.generator_form((2, 2), (1, 1))),
+                  double_abelian((2,))):
+        md = deligne_product(ising(1, 1), group)
         assert md.rank == 12
         assert extremal_classify(md) == "ising-x-pointed(4)"
         v = bound_check(md, classify=True)
         assert (v.fsexp, v.ndim, v.tier) == (16, 16, 1)
         assert v.extremal_class == "ising-x-pointed(4)"
-        # with the non-unit objects reordered, the isomorphism search must
-        # reject assignments and backtrack; these two orders reach both of
-        # its rejections
+        # relabellings keep the class
         for seed in (1, 3):
-            p = [0] + random.Random(seed).sample(range(1, 12), 11)
-            shuffled = ModularDatum(
-                [md.labels[i] for i in p], [[md.S[i][j] for j in p] for i in p],
-                [md.T[i] for i in p],
-            )
-            assert extremal_classify(shuffled) == "ising-x-pointed(4)"
+            assert extremal_classify(relabelled(md, seed)) == "ising-x-pointed(4)"
 
 
 def test_extremal_classify_unclassified():
-    # extremal (FSexp 5 = Ndim 5) and not pointed, at a rank no listed
-    # shape has
+    # extremal (FSexp 5 = Ndim 5) and not pointed, with two fibonacci
+    # leaves, which no listed shape has
     md = deligne_product(fibonacci(1), fibonacci(2))
     v = bound_check(md, classify=True)
     assert (v.fsexp, v.ndim, v.extremal) == (5, 5, True)
@@ -271,7 +452,7 @@ def test_extremal_classify_unclassified():
 
 
 def test_unclassified_extremal_builtins_are_not_pseudo_unitary():
-    # the templates follow the paper's description of the pseudo-unitary
+    # the shapes follow the paper's description of the pseudo-unitary
     # extremal data, so a pseudo-unitary extremal datum always has a class
     unclassified = set()
     for name in builtin_names():

@@ -13,6 +13,7 @@ import pytest
 
 import mdtk
 from mdtk.catalog_cli import builtin, save
+from mdtk.construct import MetricGroup, deligne_product, pointed
 
 SRC = os.path.dirname(os.path.dirname(mdtk.__file__))
 
@@ -53,6 +54,9 @@ def run_bare(code: str, *args: str) -> str:
 def test_commands_load_only_the_layers_they_run(tmp_path):
     path = tmp_path / "ising.json"
     save(builtin("ising-1-p"), str(path))
+    product = tmp_path / "ising-c4.json"
+    save(deligne_product(builtin("ising-1-p"), pointed(MetricGroup.generator_form((4,), (1,)))),
+         str(product))
     code = f"""
 import contextlib, io, json, sys
 from mdtk.catalog_cli import main
@@ -61,18 +65,22 @@ def loaded():
     return [m for m in {WATCHED!r} if m in sys.modules]
 
 seen = {{"import": loaded()}}
-for argv in (["verify", sys.argv[1], "--json"], ["fusion", sys.argv[1], "--json"],
-             ["bound-check", "double-c3", "--json"]):
+for key, argv in (("verify", ["verify", sys.argv[1], "--json"]),
+                  ("fusion", ["fusion", sys.argv[1], "--json"]),
+                  ("classify", ["bound-check", sys.argv[2], "--classify", "--json"]),
+                  ("bound-check", ["bound-check", "double-c3", "--json"])):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    seen[argv[0]] = loaded()
+    seen[key] = loaded()
 print(json.dumps(seen))
 """
-    seen = json.loads(run_bare(code, str(path)).splitlines()[-1])
+    seen = json.loads(run_bare(code, str(path), str(product)).splitlines()[-1])
     assert seen["import"] == []
     # a saved file is verified and fused without the constructors
     assert seen["verify"] == []
     assert seen["fusion"] == []
+    # and a saved extremal product is classified from its own split tree
+    assert seen["classify"] == ["mdtk.bounds"]
     # double-c3 is not extremal (FSexp 3 < Ndim 9): the builtin needs
     # construct and the verdict bounds, and nothing asks for galois
     assert seen["bound-check"] == ["mdtk.construct", "mdtk.bounds"]

@@ -106,5 +106,5 @@ def test_no_module_level_cache_is_keyed_by_a_datum():
                 if takes_a_datum(obj):
                     keyed.append(f"{info.name}.{name}")
     # the bounded caches keyed by integers and names are still seen
-    assert {"cyclo.euler_phi", "bounds._templates", "catalog_cli.builtin"} <= set(caches)
+    assert {"cyclo.euler_phi", "modular._candidate_prime", "catalog_cli.builtin"} <= set(caches)
     assert keyed == []

@@ -1498,7 +1498,8 @@ def split_products():
         (so5_1, so5_level9(2)),
         (ising(1, 1), builtin("pointed-c9")),
     ]
-    return [(deligne_product(*f), f) for f in products] + [(double_abelian((5,)), None)]
+    c3_4 = pointed(MetricGroup.generator_form((3,) * 4, (1,) * 4), name="pointed-c3^4")
+    return [(deligne_product(*f), f) for f in products] + [(double_abelian((5,)), None), (c3_4, None)]
 
 
 def shifted_t(md, x, k):
